@@ -45,10 +45,7 @@ import math
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from typing import Any
 
-try:  # pragma: no cover - exercised by absence only
-    import numpy as np
-except ImportError:  # pragma: no cover - screen then defers everything
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.cluster.node import NodeEpochReport
 
@@ -292,8 +289,7 @@ class DemandValidator:
         validator state — is identical to validating every report
         individually; the property tests assert that equivalence on
         adversarial batches.  Small batches skip screening entirely
-        (per-report validation is cheaper than the setup), as does a
-        build without numpy.
+        (per-report validation is cheaper than the setup).
         """
         n = len(reports)
         if n < _SCREEN_MIN_BATCH:
@@ -314,7 +310,7 @@ class DemandValidator:
             ):
                 continue
             defer(i)
-        if np is None or len(rest) < _SCREEN_MIN_BATCH:
+        if len(rest) < _SCREEN_MIN_BATCH:
             return rest
         sub = [reports[i] for i in rest]
         p = np.array([r.mean_power_w for r in sub])

@@ -103,10 +103,6 @@ class SimEngine:
             raise SimulationError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        if engine == "array" and not soa.HAVE_NUMPY:
-            # numpy is an optional dependency of the fast path only;
-            # without it the reference loop is the engine
-            engine = "scalar"
         self.chip = chip
         #: resolved stepping mode: ``"scalar"`` or ``"array"``.
         self.engine_mode = engine

@@ -11,8 +11,10 @@ scalar hot loop's float operations *in the same order and association*,
 so elementwise results are bit-identical to the per-tick reference
 implementation.  Two rules keep that true:
 
-* order-sensitive running sums use ``np.add.accumulate`` (strictly
-  sequential per axis), never ``np.sum``/``np.add.reduce`` (pairwise);
+* order-sensitive running sums are strictly sequential — here
+  ``np.add.accumulate`` along one axis; the orchestration layer also
+  folds tick-ordered in place (``acc += row``) — never ``np.sum``/
+  ``np.add.reduce`` (pairwise);
 * interpolation is spelled out with ``searchsorted`` + the exact
   ``lo + frac * (hi - lo)`` form the scalar table uses — ``np.interp``
   rounds differently and must not be used.
@@ -22,28 +24,12 @@ from __future__ import annotations
 
 import math
 
-try:  # pragma: no cover - exercised by absence only
-    import numpy as np
-except ImportError:  # pragma: no cover - the array engine is then disabled
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 #: precomputed ``2.0 * math.pi``: the scalar phase model computes
 #: ``2.0 * math.pi * t`` left-associated, so ``(2.0 * pi)`` first is the
 #: identical constant fold.
 TWO_PI = 2.0 * math.pi
-
-
-def seeded_series(seed, increments):
-    """Running sum of a 1-D increment series, seeded with ``seed``.
-
-    Returns length ``len(increments) + 1``: element ``k`` is the value
-    after folding the first ``k`` increments into ``seed`` one at a
-    time, bit-identical to the scalar ``acc += inc`` chain.
-    """
-    stacked = np.concatenate(
-        (np.asarray((seed,), dtype=np.float64), increments)
-    )
-    return np.add.accumulate(stacked)
 
 
 def seeded_accumulate(seed_row, increments):
@@ -60,14 +46,28 @@ def seeded_accumulate(seed_row, increments):
     return np.add.accumulate(stacked, axis=0)
 
 
-def sequential_row_sum(matrix):
-    """Left-fold of each row of ``(T, C)``, matching ``sum(list)``.
+def package_rows(power, slots, n_chips, width, uncore):
+    """Per-chip package power for a ``(T, cores)`` power matrix.
 
-    Python's ``sum`` folds ``((0.0 + p0) + p1) + ...``; for the
-    non-negative per-core powers ``0.0 + p0 == p0`` bit-exactly, so the
-    sequential accumulate's last column is the identical fold.
+    ``slots`` places each core column in a zero-padded
+    ``(chips, width)`` layout (cores of one chip contiguous, in order);
+    when every chip is ``width`` cores wide the layout is ``power``
+    itself.  Each chip's cores are left-folded,
+    ``((p0 + p1) + ...) + 0.0 ...``, matching ``sum(core_powers)``
+    (``0 + p0 == p0``, and the trailing zeros are bitwise no-ops on the
+    non-negative sums), then the uncore adder is applied.  Returns
+    ``(T, chips)``.
     """
-    return np.add.accumulate(matrix, axis=1)[:, -1]
+    ticks, cores = np.shape(power)
+    if cores == n_chips * width:
+        padded = power
+    else:
+        padded = np.zeros((ticks, n_chips * width), dtype=np.float64)
+        padded[:, slots] = power
+    folded = np.add.accumulate(
+        np.reshape(padded, (-1, n_chips, width)), axis=2
+    )
+    return folded[:, :, -1] + uncore
 
 
 def phase_factors(times, period, offset, ipc_amp, pow_amp):
@@ -151,28 +151,3 @@ def first_hit_rows(hits, n_ticks):
     any_hit = np.any(hits, axis=0)
     first = np.argmax(hits, axis=0)
     return np.where(any_hit, first, n_ticks)
-
-
-def counter_increment_rows(eff, dt, tsc, running):
-    """Per-tick APERF/MPERF increments for running lanes.
-
-    The scalar loop adds ``eff * 1e6 * dt * busy`` with ``busy == 1.0``
-    (exact identity); idle lanes contribute an exact ``0.0``, which is a
-    bitwise no-op on the non-negative accumulators.
-    """
-    aperf = np.where(running, (eff * 1e6) * dt, 0.0)
-    mperf = np.where(running, (tsc * 1e6) * dt, 0.0)
-    return aperf, mperf
-
-
-def residency_increment_rows(dt, running, parked):
-    """Per-tick C0/C1/C6 residency increments by lane classification.
-
-    Running lanes accrue ``dt * busy == dt`` of C0 (the C1 remainder is
-    an exact ``0.0``), unparked idle lanes accrue ``dt`` of C1, parked
-    lanes ``dt`` of C6.
-    """
-    c0 = np.where(running, dt, 0.0)
-    c1 = np.where(running, 0.0, np.where(parked, 0.0, dt))
-    c6 = np.where(parked, dt, 0.0)
-    return c0, c1, c6

@@ -15,8 +15,9 @@ to the scalar reference.  That holds because
 
 * every elementwise formula replicates the scalar association order
   (:mod:`repro.sim.kernel`);
-* order-sensitive accumulators use strictly-sequential
-  ``np.add.accumulate`` seeded with the live running value;
+* order-sensitive accumulators are strictly sequential: seeded with
+  the live running value, then folded tick by tick (``acc += row``) or
+  with ``np.add.accumulate``, never a pairwise reduce;
 * batches are *optimistically* sized and cut at the first tick whose
   behaviour diverges from the batch's invariants: a load finishing (the
   turbo ceiling changes next tick), a ``done`` flip re-marking the chip
@@ -24,14 +25,15 @@ to the scalar reference.  That holds because
   core's base frequency (the cap would start clipping, which the
   candidate matrices did not model);
 * the RAPL limiter's EWMA control loop is a sequential recurrence with
-  no closed form, so it is replayed tick-by-tick on local floats in the
-  limiter's exact operation order and written back only for the
+  no closed form, so it is replayed tick-by-tick in the limiter's exact
+  operation order — on local floats per chip, or for wide gangs once
+  per tick across every limited chip — and written back only for the
   committed prefix;
 * anything the array path cannot reproduce exactly falls back to the
   scalar loop: websearch clusters attached, non-batch loads (timeshare,
   cluster serving cores), ``dirty_caching=False`` reference mode, grids
-  with fewer than two points, gaps shorter than :data:`MIN_BATCH_TICKS`,
-  or numpy being unavailable.
+  with fewer than two points, or gaps shorter than
+  :data:`MIN_BATCH_TICKS`.
 
 Gathering is two-tier.  Rows derived from the resolved P-state view and
 the load placement (:class:`_ChipStatic`) are cached on the chip and
@@ -48,10 +50,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING
 
-try:  # pragma: no cover - exercised by absence only
-    import numpy as np
-except ImportError:  # pragma: no cover - the array engine is then disabled
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.hw.cstates import EXIT_LATENCY_S, CState
 from repro.sim import kernel
@@ -62,9 +61,6 @@ if TYPE_CHECKING:
     from repro.hw.pstate import PStateTable
     from repro.hw.rapl import RaplLimiter
     from repro.sim.chip import Chip
-
-#: True when the array engine can run at all.
-HAVE_NUMPY = np is not None
 
 #: below this many ticks the fixed numpy call overhead outweighs the
 #: vector win; the scalar loop takes the gap (1-tick cadences like the
@@ -78,6 +74,13 @@ MAX_BATCH_TICKS = 512
 #: retrying the vector path would compute and discard full candidate
 #: batches one committed tick at a time.
 RAPL_SCALAR_TICKS = 32
+#: gangs with at least this many RAPL-limited chips replay the limiter
+#: recurrence once per tick across all of them (:func:`_replay_rapl_gang`);
+#: narrower ones replay each chip on plain floats (:func:`_replay_rapl`),
+#: which is cheaper while the per-tick numpy call overhead dominates.
+#: Set at the measured crossover: the two cost the same at about 28
+#: limited chips over a 200-tick batch (2-vCPU Xeon, numpy 2.4).
+RAPL_GANG_MIN_CHIPS = 32
 
 #: per-table cached grid arrays for the vectorized V/f interpolation
 #: (PStateTable is an immutable value type with content hashing).
@@ -88,6 +91,10 @@ _GRID_CACHE: dict["PStateTable", tuple["np.ndarray", "np.ndarray"]] = {}
 _IDLE_SAMPLE = LoadSample(0.0, 0.0, 0.0, done=True)
 
 _STATIC_SERIAL = itertools.count()
+
+#: a column's phase key (chip start time, period, offset, IPC and power
+#: amplitudes) as one opaque 40-byte value, so keys dedupe bit for bit.
+_PHASE_KEY = np.dtype((np.void, 5 * 8))
 
 
 def _grid_arrays(table: "PStateTable") -> tuple["np.ndarray", "np.ndarray"]:
@@ -112,7 +119,7 @@ def chip_supports_array(chip: "Chip") -> bool:
     re-resolves P-states every tick), or a degenerate V/f grid — takes
     the scalar loop instead.
     """
-    if not HAVE_NUMPY or not chip.dirty_caching or chip.clusters:
+    if not chip.dirty_caching or chip.clusters:
         return False
     if len(chip.platform.pstates.frequencies_mhz) < 2:
         return False
@@ -243,6 +250,8 @@ class _ChipStatic:
             "wake_row": np.full(n, self.wake_eff, dtype=np.float64),
             "c1_idle": np.where(np.asarray(parked, dtype=bool), 0.0, dt),
             "c6_inc": np.where(np.asarray(parked, dtype=bool), dt, 0.0),
+            # each core's position within its chip (package-sum layout)
+            "core_row": np.arange(n),
         }
 
 
@@ -426,18 +435,112 @@ def _replay_rapl(
     return observed, (avg, cap, primed)
 
 
+def _replay_rapl_gang(
+    limiters: list["RaplLimiter"],
+    pkg: "np.ndarray",
+    dt: float,
+    base_max: "np.ndarray",
+    max_ticks: int,
+) -> tuple[int, "np.ndarray", "np.ndarray"]:
+    """:func:`_replay_rapl` for many limiters at once, one tick per step.
+
+    ``pkg`` is the ``(ticks, limiters)`` package power matrix and
+    ``base_max`` each chip's fastest unparked base frequency.  Every
+    limiter takes the same elementwise operations as in
+    :func:`_replay_rapl`, so each lane is bit-identical to it.  The
+    replay stops before the first tick at which *any* cap is below its
+    chip's base maximum — the gang commits one common prefix anyway.
+    Returns that tick count and the ``(ticks + 1, limiters)`` average
+    and cap histories (row ``k`` is the state after ``k`` ticks), so the
+    caller can write back whichever prefix commits.  Nothing is mutated
+    here.
+    """
+    states = [limiter.control_state() for limiter in limiters]
+    avg = np.asarray([s[0] for s in states], dtype=np.float64)
+    cap = np.asarray([s[1] for s in states], dtype=np.float64)
+    primed = np.asarray([s[2] for s in states], dtype=bool)
+    configs = [limiter.config for limiter in limiters]
+    platforms = [limiter.platform for limiter in limiters]
+    f64 = np.float64
+    alpha = np.asarray(
+        [clamp(dt / cfg.averaging_tau_s, 0.0, 1.0) for cfg in configs], f64
+    )
+    gain = np.asarray([cfg.gain_mhz_per_w for cfg in configs], f64)
+    hyst = np.asarray([cfg.hysteresis_w for cfg in configs], f64)
+    neg_hyst = -hyst
+    min_f = np.asarray([plat.min_frequency_mhz for plat in platforms], f64)
+    max_f = np.asarray([plat.max_frequency_mhz for plat in platforms], f64)
+    limits = [limiter.limit_w for limiter in limiters]
+    has_limit = np.asarray([lim is not None for lim in limits], dtype=bool)
+    # unlimited lanes never move their cap (masked by has_limit); the
+    # placeholder only keeps their error finite
+    limit = np.asarray([0.0 if lim is None else lim for lim in limits], f64)
+    all_primed = np.ones(len(limiters), dtype=bool)
+    avg_hist = np.empty((max_ticks + 1, len(limiters)), dtype=np.float64)
+    cap_hist = np.empty_like(avg_hist)
+    avg_hist[0] = avg
+    cap_hist[0] = cap
+    observed = 0
+    while observed < max_ticks and not bool((cap < base_max).any()):
+        p = pkg[observed]
+        avg = np.where(primed, avg + alpha * (p - avg), p)
+        primed = all_primed
+        error = avg - limit
+        over = error > 0.0
+        moved = (over | (error < neg_hyst)) & has_limit
+        step = gain * np.where(over, error, error + hyst)
+        cap = np.where(
+            moved, np.maximum(min_f, np.minimum(max_f, cap - step)), cap
+        )
+        observed += 1
+        avg_hist[observed] = avg
+        cap_hist[observed] = cap
+    return observed, avg_hist, cap_hist
+
+
+def _fold(seed: "np.ndarray", incs: "np.ndarray") -> "np.ndarray":
+    """``seed`` with every row of ``incs`` added in row (tick) order.
+
+    Each column is one chained ``x += inc``, bit-identical to the scalar
+    loop whichever way it is iterated, so the fold runs along the
+    shorter axis: a tick-ordered in-place ``acc += row`` when there are
+    more columns than ticks (a stacked gang), one sequential
+    ``np.add.accumulate`` per column otherwise (a single chip).  Either
+    way numpy is entered ``min(ticks, columns)`` times.
+    """
+    ticks, width = incs.shape
+    if width < ticks:
+        stacked = np.empty((width, ticks + 1), dtype=np.float64)
+        stacked[:, 0] = seed
+        stacked[:, 1:] = incs.T
+        return np.add.accumulate(stacked, axis=1)[:, -1]
+    acc = seed.copy()
+    for row in incs:
+        acc += row
+    return acc
+
+
 def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
     """Step every gathered chip up to ``n_ticks``; returns ticks committed.
 
-    Returns 0 (committing nothing) only when the RAPL cap would clip the
-    very first tick — the caller then takes the scalar path.
+    Returns 0 (committing nothing, building nothing) only when a RAPL
+    cap already clips the very first tick — the caller then takes the
+    scalar path.
     """
-    dt = states[0].dt
-    total = 0
-    slices: list[slice] = []
     for state in states:
-        slices.append(slice(total, total + state.static.n))
-        total += state.static.n
+        limiter = state.chip.rapl
+        if limiter is not None and limiter.cap_mhz < state.static.base_max:
+            return 0
+    dt = states[0].dt
+    sizes = [state.static.n for state in states]
+    total = sum(sizes)
+    n_chips = len(states)
+    slices: list[slice] = []
+    start = 0
+    for size in sizes:
+        slices.append(slice(start, start + size))
+        start += size
+    chip_of = np.repeat(np.arange(n_chips), sizes)
     rows = _group_rows(states)
 
     running = _stack_dyn([st.running_arr for st in states])
@@ -461,22 +564,38 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
         done0 = ~running
         window = 1 if bool((done0 != prev_done).any()) else n_ticks
 
-    # per-chip simulated-time series, broadcast to that chip's columns
-    times = np.empty((window, total), dtype=np.float64)
-    t_series: list["np.ndarray"] = []
-    dt_col = np.full(window, dt, dtype=np.float64)
-    for state, cols in zip(states, slices):
-        t_acc = kernel.seeded_series(state.t0, dt_col)
-        t_series.append(t_acc)
-        times[:, cols] = t_acc[:window, None]
-    ipc_t, pow_t = kernel.phase_factors(
-        times,
-        rows["period_row"],
-        rows["offset_row"],
-        rows["ipc_amp_row"],
-        rows["pow_amp_row"],
+    # per-chip simulated-time series (column c is chip c)
+    t0 = np.asarray([st.t0 for st in states], dtype=np.float64)
+    t_series = kernel.seeded_accumulate(
+        t0, np.full((window, n_chips), dt, dtype=np.float64)
     )
-    cand = np.where(running, kernel.retired_rows(rate0, ipc_t, dt), 0.0)
+    # phase factors depend only on the column's (chip start time,
+    # period, offset, amplitudes): evaluate them once per distinct key,
+    # compared bit for bit, and gather the result back to every column
+    period = rows["period_row"]
+    offset = rows["offset_row"]
+    ipc_amp = rows["ipc_amp_row"]
+    pow_amp = rows["pow_amp_row"]
+    keys = np.stack((t0[chip_of], period, offset, ipc_amp, pow_amp), axis=1)
+    reps: list[int] = []
+    key_slot: dict[bytes, int] = {}
+    inverse_list: list[int] = []
+    for col, key in enumerate(keys.view(_PHASE_KEY).ravel().tolist()):
+        if key not in key_slot:
+            key_slot[key] = len(reps)
+            reps.append(col)
+        inverse_list.append(key_slot[key])
+    inverse = np.asarray(inverse_list)
+    ipc_u, pow_u = kernel.phase_factors(
+        t_series[:window, chip_of[reps]],
+        period[reps],
+        offset[reps],
+        ipc_amp[reps],
+        pow_amp[reps],
+    )
+    cand = np.where(
+        running, kernel.retired_rows(rate0, ipc_u[:, inverse], dt), 0.0
+    )
 
     # event split, part 2: with budgets in play, scan for the earliest
     # finishing tick; the batch runs through it inclusive (behaviour
@@ -498,10 +617,11 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
         first_hit = None
         length = window
 
-    # power matrix over the candidate window
+    # power matrix over the candidate window, and every chip's package
+    # power from one zero-padded sequential fold
     volt = np.where(running, rows["volt_run"], rows["volt_idle"])
     fghz = np.where(running, rows["fghz_run"], rows["fghz_idle"])
-    ceff_t = (rows["ceff_row"] * factor) * pow_t[:length]
+    ceff_t = (rows["ceff_row"] * factor) * pow_u[:length, inverse]
     power = kernel.power_rows(
         ceff_t,
         volt,
@@ -511,46 +631,63 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
         rows["idle_row"],
         running,
     )
-    pkg_lists: list[list[float]] = []
-    for state, cols in zip(states, slices):
-        pkg = kernel.sequential_row_sum(power[:, cols]) + state.static.uncore
-        pkg_lists.append(pkg.tolist())
+    width = max(sizes)
+    slots = chip_of * width + rows["core_row"]
+    uncore = np.asarray([st.static.uncore for st in states], dtype=np.float64)
+    pkg = kernel.package_rows(power, slots, n_chips, width, uncore)
 
     # RAPL: replay the EWMA/cap recurrence; a tick is only valid while
     # the cap clears the fastest unparked base frequency (otherwise
     # clip() would have altered effective MHz and every candidate
-    # matrix after it)
+    # matrix after it).  The early return above guarantees tick 0 is.
+    limited = [i for i, st in enumerate(states) if st.chip.rapl is not None]
     commit = length
-    replays: list[
-        tuple["RaplLimiter", list[float], float, int, tuple[float, float, bool]]
-    ] = []
-    for state, pkg_list in zip(states, pkg_lists):
-        limiter = state.chip.rapl
-        if limiter is None:
-            continue
-        observed, final = _replay_rapl(
-            limiter, pkg_list, dt, state.static.base_max, length
+    if len(limited) >= RAPL_GANG_MIN_CHIPS:
+        limiters = [states[i].chip.rapl for i in limited]
+        base_max = np.asarray(
+            [states[i].static.base_max for i in limited], dtype=np.float64
         )
-        replays.append(
-            (limiter, pkg_list, state.static.base_max, observed, final)
+        commit, avg_hist, cap_hist = _replay_rapl_gang(
+            limiters, pkg[:, limited], dt, base_max, length
         )
-        if observed < commit:
-            commit = observed
-    if commit == 0:
-        return 0
-    for limiter, pkg_list, base_max, observed, final in replays:
-        if observed != commit:
-            # a shorter global prefix committed: re-derive the control
-            # state after exactly the committed ticks
-            _, final = _replay_rapl(limiter, pkg_list, dt, base_max, commit)
-        limiter.restore_control_state(final)
+        avg = avg_hist[commit].tolist()
+        cap = cap_hist[commit].tolist()
+        for lane, limiter in enumerate(limiters):
+            # commit >= 1: every limiter has observed a tick, so primed
+            limiter.restore_control_state((avg[lane], cap[lane], True))
+    elif limited:
+        pkg_cols = pkg.T.tolist()
+        replays: list[tuple[int, int, tuple[float, float, bool]]] = []
+        for i in limited:
+            observed, final = _replay_rapl(
+                states[i].chip.rapl, pkg_cols[i], dt,
+                states[i].static.base_max, length,
+            )
+            replays.append((i, observed, final))
+            commit = min(commit, observed)
+        for i, observed, final in replays:
+            limiter = states[i].chip.rapl
+            if observed != commit:
+                # a shorter global prefix committed: re-derive the
+                # control state after exactly the committed ticks
+                _, final = _replay_rapl(
+                    limiter, pkg_cols[i], dt, states[i].static.base_max,
+                    commit,
+                )
+            limiter.restore_control_state(final)
 
+    # the fold's per-tick increments, one column per accumulator whose
+    # increment changes by tick: MSR instructions | RAPL per-core energy
+    # | app retired work | package energy | Core instruction totals |
+    # Core energy totals (the MSR-side and Core-side blocks take the
+    # same increments from different seeds)
+    t, c = total, n_chips
+    incs = np.empty((commit, 5 * t + c), dtype=np.float64)
     # instruction view the counters see: the finishing tick is clamped
     # to the app's remaining budget, then (order matters) the first tick
     # after a C6 exit is discounted by the wake-up efficiency
-    inst = cand[:commit]
-    copied = False
-    r_final_list: list[float] | None = None
+    inst = incs[:, 0:t]
+    inst[...] = cand[:commit]
     if first_hit is not None:
         finisher = running & (first_hit == commit - 1)
         any_finish = bool(finisher.any())
@@ -558,21 +695,14 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
         finisher = None
         any_finish = False
     if any_finish:
-        inst = inst.copy()
-        copied = True
         clamped = np.maximum(budget_row - r_acc[commit - 1], 0.0)
         inst[commit - 1] = np.where(finisher, clamped, inst[commit - 1])
-        r_final_list = np.where(
-            finisher, r_acc[commit - 1] + clamped, r_acc[commit]
-        ).tolist()
     wake_needed = any(
         c6 and run
         for st in states
         for c6, run in zip(st.prev_c6, st.running)
     )
     if wake_needed:
-        if not copied:
-            inst = inst.copy()
         wake = (
             _stack_dyn(
                 [np.asarray(st.prev_c6, dtype=bool) for st in states]
@@ -582,74 +712,83 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
         inst[0] = np.where(
             wake & (inst[0] > 0.0), inst[0] * rows["wake_row"], inst[0]
         )
+    np.multiply(power[:commit], dt, out=incs[:, t : 2 * t])
+    incs[:, 2 * t : 3 * t] = cand[:commit]
+    np.multiply(pkg[:commit], dt, out=incs[:, 3 * t : 3 * t + c])
+    incs[:, 3 * t + c : 4 * t + c] = inst
+    incs[:, 4 * t + c :] = incs[:, t : 2 * t]
 
-    # seeded running sums, fused: one strictly-sequential accumulate
-    # over 13 side-by-side column blocks (each column is an independent
-    # chained `x += inc`, so fusing preserves bit-exactness) instead of
-    # 13 separate numpy calls
-    dt_running = np.where(running, dt, 0.0)
-    energy_inc = power[:commit] * dt
+    # seeded running sums: `acc` is seeded like `incs` is laid out, and
+    # `fixed` holds the eight accumulators whose increment is the same
+    # every tick, folded from one broadcast row
     seeds: list[float] = []
     for st in states:
         seeds.extend(st.chip._instr_total)
     for st in states:
-        seeds.extend(c.total_instructions for c in st.chip.cores)
-    for st in states:
         seeds.extend(st.chip.energy._core_energy_j)
     for st in states:
-        seeds.extend(c.total_energy_j for c in st.chip.cores)
-    for st in states:
-        seeds.extend(c.total_busy_s for c in st.chip.cores)
-    for st in states:
-        seeds.extend(c.total_time_s for c in st.chip.cores)
-    for st in states:
-        seeds.extend(st.chip._aperf_cycles)
-    for st in states:
-        seeds.extend(st.chip._mperf_cycles)
-    for st in states:
-        seeds.extend(r.c0_s for r in st.chip.cstates._cores)
-    for st in states:
-        seeds.extend(r.c1_s for r in st.chip.cstates._cores)
-    for st in states:
-        seeds.extend(r.c6_s for r in st.chip.cstates._cores)
-    for st in states:
-        seeds.extend(st.elapsed0)
-    for st in states:
         seeds.extend(st.retired0)
-    big = np.empty((commit, 13 * total), dtype=np.float64)
-    big[:, 0:total] = inst                                # MSR instr
-    big[:, total : 2 * total] = inst                      # core totals
-    big[:, 2 * total : 3 * total] = energy_inc            # RAPL per-core
-    big[:, 3 * total : 4 * total] = energy_inc            # core totals
-    big[:, 4 * total : 5 * total] = dt_running            # busy seconds
-    big[:, 5 * total : 6 * total] = dt                    # wall seconds
-    big[:, 6 * total : 7 * total] = np.where(running, rows["aperf_run"], 0.0)
-    big[:, 7 * total : 8 * total] = np.where(running, rows["mperf_run"], 0.0)
-    big[:, 8 * total : 9 * total] = dt_running            # C0 residency
-    big[:, 9 * total : 10 * total] = np.where(running, 0.0, rows["c1_idle"])
-    big[:, 10 * total : 11 * total] = rows["c6_inc"]
-    big[:, 11 * total : 12 * total] = dt_running          # app elapsed_s
-    big[:, 12 * total : 13 * total] = cand[:commit]       # app retired
-    finals = kernel.seeded_accumulate(
-        np.asarray(seeds, dtype=np.float64), big
-    )[commit].tolist()
-    i_f = finals[0:total]
-    ti_f = finals[total : 2 * total]
-    e_f = finals[2 * total : 3 * total]
-    te_f = finals[3 * total : 4 * total]
-    b_f = finals[4 * total : 5 * total]
-    tt_f = finals[5 * total : 6 * total]
-    a_f = finals[6 * total : 7 * total]
-    m_f = finals[7 * total : 8 * total]
-    c0_f = finals[8 * total : 9 * total]
-    c1_f = finals[9 * total : 10 * total]
-    c6_f = finals[10 * total : 11 * total]
-    el_f = finals[11 * total : 12 * total]
-    r_f = (
-        r_final_list
-        if r_final_list is not None
-        else finals[12 * total : 13 * total]
+    seeds.extend(st.chip.energy._pkg_energy_j for st in states)
+    for st in states:
+        seeds.extend(core.total_instructions for core in st.chip.cores)
+    for st in states:
+        seeds.extend(core.total_energy_j for core in st.chip.cores)
+    acc = np.asarray(seeds, dtype=np.float64)
+    fixed_seeds: list[float] = []
+    for st in states:
+        fixed_seeds.extend(core.total_busy_s for core in st.chip.cores)
+    for st in states:
+        fixed_seeds.extend(core.total_time_s for core in st.chip.cores)
+    for st in states:
+        fixed_seeds.extend(st.chip._aperf_cycles)
+    for st in states:
+        fixed_seeds.extend(st.chip._mperf_cycles)
+    for st in states:
+        fixed_seeds.extend(r.c0_s for r in st.chip.cstates._cores)
+    for st in states:
+        fixed_seeds.extend(r.c1_s for r in st.chip.cstates._cores)
+    for st in states:
+        fixed_seeds.extend(r.c6_s for r in st.chip.cstates._cores)
+    for st in states:
+        fixed_seeds.extend(st.elapsed0)
+    fixed = np.asarray(fixed_seeds, dtype=np.float64)
+    dt_running = np.where(running, dt, 0.0)
+    fixed_inc = np.concatenate(
+        (
+            dt_running,                                   # busy seconds
+            np.full(t, dt, dtype=np.float64),             # wall seconds
+            np.where(running, rows["aperf_run"], 0.0),
+            np.where(running, rows["mperf_run"], 0.0),
+            dt_running,                                   # C0 residency
+            np.where(running, 0.0, rows["c1_idle"]),
+            rows["c6_inc"],
+            dt_running,                                   # app elapsed_s
+        )
     )
+    acc = _fold(acc, incs)
+    finals = acc.tolist()
+    fixed_f = _fold(
+        fixed, np.broadcast_to(fixed_inc, (commit, fixed_inc.size))
+    ).tolist()
+    i_f = finals[0:t]
+    e_f = finals[t : 2 * t]
+    pkg_e_f = finals[3 * t : 3 * t + c]
+    ti_f = finals[3 * t + c : 4 * t + c]
+    te_f = finals[4 * t + c :]
+    b_f = fixed_f[0:t]
+    tt_f = fixed_f[t : 2 * t]
+    a_f = fixed_f[2 * t : 3 * t]
+    m_f = fixed_f[3 * t : 4 * t]
+    c0_f = fixed_f[4 * t : 5 * t]
+    c1_f = fixed_f[5 * t : 6 * t]
+    c6_f = fixed_f[6 * t : 7 * t]
+    el_f = fixed_f[7 * t : 8 * t]
+    if any_finish:
+        r_f = np.where(
+            finisher, r_acc[commit - 1] + clamped, acc[2 * t : 3 * t]
+        ).tolist()
+    else:
+        r_f = finals[2 * t : 3 * t]
 
     if finisher is not None:
         done_last = np.where(running, finisher, True)
@@ -672,6 +811,8 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
     inst_last = inst[commit - 1].tolist()
     ceff_last = ceff_t[commit - 1].tolist()
     power_last = power[commit - 1].tolist()
+    pkg_last = pkg[commit - 1].tolist()
+    time_final = t_series[commit].tolist()
     factor_list = factor.tolist()
     for idx, (state, cols) in enumerate(zip(states, slices)):
         chip = state.chip
@@ -734,13 +875,9 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
             if flip_list is not None and flip_list[g]:
                 dirty = True
         chip.last_core_powers_w = power_last[cols]
-        pkg_list = pkg_lists[idx]
-        chip.last_package_power_w = pkg_list[commit - 1]
-        pkg_energy = chip.energy._pkg_energy_j
-        for pkg in pkg_list[:commit]:
-            pkg_energy += pkg * dt
-        chip.energy._pkg_energy_j = pkg_energy
-        chip.time_s = float(t_series[idx][commit])
+        chip.last_package_power_w = pkg_last[idx]
+        chip.energy._pkg_energy_j = pkg_e_f[idx]
+        chip.time_s = time_final[idx]
         if dirty:
             chip._dirty = True
     return commit

@@ -19,8 +19,6 @@ import json
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.config import AppSpec, ExperimentConfig, Priority
 from repro.experiments.cache import result_to_jsonable
 from repro.experiments.cluster_exp import default_cluster_config

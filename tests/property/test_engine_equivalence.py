@@ -12,7 +12,9 @@ misalign batch edges with behaviour changes.
 
 The same property is asserted one level up through
 :class:`~repro.sim.engine.SimEngine`, where callback deadlines carve
-the run into batches.
+the run into batches, and across a gang wide enough to take the
+gang-wide RAPL replay: mixed Skylake and Ryzen chips with staggered
+start times and their own limits, stepped as one stacked batch.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
-from repro.hw.platform import skylake_xeon_4114
+from repro.hw.platform import ryzen_1700x, skylake_xeon_4114
 from repro.sim import soa
 from repro.sim.chip import Chip
 from repro.sim.core import BatchCoreLoad
@@ -34,6 +34,7 @@ from repro.workloads.spec import spec_app
 from tests.unit.test_array_kernel import chip_fingerprint
 
 SKYLAKE = skylake_xeon_4114()
+RYZEN = ryzen_1700x()
 FREQS = SKYLAKE.pstates.frequencies_mhz
 
 #: benchmarks spanning compute-bound, memory-bound, and phased models.
@@ -67,9 +68,9 @@ placements = st.dictionaries(
 )
 
 
-def build_chip(placement) -> Chip:
-    chip = Chip(SKYLAKE, tick_s=5e-3)
-    ref = SKYLAKE.reference_frequency_mhz
+def build_chip(placement, platform=SKYLAKE) -> Chip:
+    chip = Chip(platform, tick_s=5e-3)
+    ref = platform.reference_frequency_mhz
     for core_id, (name, budget) in placement.items():
         model = spec_app(name, steady=budget is None)
         if budget is not None:
@@ -149,3 +150,71 @@ def test_array_advance_is_bit_identical_soak(placement, schedule):
         apply(scalar, op, array=False)
         apply(array, op, array=True)
     assert chip_fingerprint(scalar) == chip_fingerprint(array)
+
+
+#: one gang member: app placement on cores both platforms have, lead
+#: ticks stepped before the gang starts (staggered start times, hence
+#: distinct phase keys), a RAPL limit programmed after the lead (so each
+#: cap starts clear and binds at its own tick; Ryzen has no limiter),
+#: and the P-state every core requests, counted down from the top (low
+#: enough that a lowered cap can climb back before it binds).
+gang_members = st.tuples(
+    st.dictionaries(
+        st.integers(0, RYZEN.n_cores - 1),
+        st.tuples(
+            st.sampled_from(BENCHMARKS),
+            st.one_of(st.none(), st.floats(min_value=1e8, max_value=4e9)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(0, 30),
+    st.sampled_from(RAPL_LIMITS),
+    st.integers(0, 10),
+)
+
+
+def build_member(platform, member) -> Chip:
+    placement, lead, limit_w, level = member
+    chip = build_chip(placement, platform)
+    top = platform.pstates.frequencies_mhz[-1 - level]
+    for core_id in range(platform.n_cores):
+        chip.set_requested_frequency(core_id, top)
+    chip.advance_ticks(lead)
+    if chip.rapl is not None:
+        chip.set_rapl_limit(limit_w)
+    return chip
+
+
+def build_gang(skylake_members, ryzen_members) -> list[Chip]:
+    """Skylake chips with a Ryzen chip after every fifth, so the
+    package sum pads chips of 10 and 8 cores at irregular positions."""
+    chips = [build_member(SKYLAKE, m) for m in skylake_members]
+    for i, member in enumerate(ryzen_members):
+        chips.insert(6 * i + 5, build_member(RYZEN, member))
+    return chips
+
+
+@given(
+    st.lists(
+        gang_members,
+        min_size=soa.RAPL_GANG_MIN_CHIPS + 2,
+        max_size=soa.RAPL_GANG_MIN_CHIPS + 2,
+    ),
+    st.lists(gang_members, min_size=1, max_size=5),
+    st.lists(st.integers(soa.MIN_BATCH_TICKS, 200), min_size=1, max_size=3),
+)
+@settings(max_examples=6, deadline=None)
+def test_wide_gang_is_bit_identical(skylake_members, ryzen_members, runs):
+    """A gang past the RAPL replay's width cut-over, stepped as one
+    stacked batch, matches every chip stepped alone by the scalar loop."""
+    gang = build_gang(skylake_members, ryzen_members)
+    solo = build_gang(skylake_members, ryzen_members)
+    limited = sum(chip.rapl is not None for chip in gang)
+    assert limited >= soa.RAPL_GANG_MIN_CHIPS
+    for n_ticks in runs:
+        soa.advance_chips(gang, n_ticks)
+        for chip in solo:
+            chip.advance_ticks(n_ticks)
+        for alone, stacked in zip(solo, gang):
+            assert chip_fingerprint(alone) == chip_fingerprint(stacked)

@@ -14,9 +14,8 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.config import AppSpec, ExperimentConfig, default_engine
 from repro.errors import ConfigError, SimulationError
@@ -96,18 +95,6 @@ def batch_chip(platform_name="skylake", *, finite_budget=None) -> Chip:
 
 
 class TestKernels:
-    def test_seeded_series_matches_scalar_chain(self):
-        incs = [0.1, 0.7, -0.3, 1e-9, 2.5e8, 0.1]
-        series = kernel.seeded_series(3.7, np.asarray(incs))
-        acc = 3.7
-        expected = [acc]
-        for inc in incs:
-            acc += inc
-            expected.append(acc)
-        assert [v.hex() for v in series.tolist()] == [
-            v.hex() for v in expected
-        ]
-
     def test_seeded_accumulate_is_columnwise_sequential(self):
         rows = np.asarray([[0.1, 1e8], [0.2, -3.0], [0.4, 0.7]])
         out = kernel.seeded_accumulate(np.asarray([1.0, 2.0]), rows)
@@ -117,12 +104,44 @@ class TestKernels:
                 acc += row[col]
                 assert out[k + 1, col].hex() == acc.hex()
 
-    def test_sequential_row_sum_matches_python_sum(self):
-        rows = [[3.1, 0.2, 7.9, 1e-8], [0.0, 5.5, 2.2, 9.1]]
-        out = kernel.sequential_row_sum(np.asarray(rows))
-        assert [v.hex() for v in out.tolist()] == [
-            sum(row).hex() for row in rows
+    def test_fold_matches_scalar_chain_along_either_axis(self):
+        """The commit fold iterates along the shorter axis; both ways
+        must equal one chained ``x += inc`` per column."""
+        seeds = [1.0, 2.0, 1e8]
+        incs = [[0.1, 1e8, 1e-9], [0.2, -3.0, 0.7], [0.4, 0.7, 0.1],
+                [1e-7, 0.3, 2.5], [0.3, 0.3, 0.3]]
+        for ticks in (len(incs), 2):  # more ticks than columns, fewer
+            out = soa._fold(np.asarray(seeds), np.asarray(incs[:ticks]))
+            for col, acc in enumerate(seeds):
+                for row in incs[:ticks]:
+                    acc += row[col]
+                assert out[col].hex() == acc.hex(), ticks
+
+    def test_package_rows_match_python_sum(self):
+        """A gang's package powers come from one zero-padded fold; each
+        chip's must equal the scalar ``sum(core_powers) + uncore``,
+        whatever its core count (mixed widths pad, equal widths don't)."""
+        rows = [
+            [3.1, 0.2, 7.9, 1e-8, 0.0, 5.5, 2.2, 9.1, 0.3],
+            [0.1, 0.7, 1e8, 0.3, 4.4, 1e-9, 0.0, 0.0, 6.5],
         ]
+        uncore = [1.5, 2.5, 0.25]
+        for sizes in ([4, 2, 3], [3, 3, 3]):
+            width = max(sizes)
+            # column -> chip * width + core within the chip
+            slots = [
+                c * width + k for c, n in enumerate(sizes) for k in range(n)
+            ]
+            out = kernel.package_rows(
+                np.asarray(rows), np.asarray(slots), len(sizes), width,
+                np.asarray(uncore),
+            )
+            for t, row in enumerate(rows):
+                start = 0
+                for c, n in enumerate(sizes):
+                    expected = sum(row[start : start + n]) + uncore[c]
+                    assert out[t, c].hex() == expected.hex(), sizes
+                    start += n
 
     def test_phase_factors_match_scalar_formula(self):
         times = np.asarray([[0.0, 0.5], [1.25, 3.0]])
@@ -157,57 +176,119 @@ class TestKernels:
         assert none.tolist() == [3, 3]
 
 
+def replay_scalar(limiter, powers, dt, base_max, n_ticks):
+    return soa._replay_rapl(limiter, powers, dt, base_max, n_ticks)
+
+
+def replay_gang(limiter, powers, dt, base_max, n_ticks):
+    """The gang-wide replay run on a gang of one, returning what
+    :func:`soa._replay_rapl` returns: ticks observed, state after them."""
+    observed, avg, cap = soa._replay_rapl_gang(
+        [limiter],
+        np.asarray(powers, dtype=np.float64).reshape(-1, 1),
+        dt,
+        np.asarray([base_max]),
+        n_ticks,
+    )
+    if observed == 0:
+        return 0, limiter.control_state()
+    return observed, (avg[observed, 0].item(), cap[observed, 0].item(), True)
+
+
+#: both limiter replays; every test below holds for each.
+REPLAYS = (replay_scalar, replay_gang)
+
+
 class TestRaplReplay:
     def _limiter(self, skylake, limit_w):
         limiter = RaplLimiter(skylake)
         limiter.set_limit(limit_w)
         return limiter
 
+    def _assert_matches_live(self, replay, limiter, live, powers, base_max):
+        dt = 5e-3
+        observed, state = replay(limiter, powers, dt, base_max, len(powers))
+        # the live limiter defines where the batch must stop: before the
+        # first tick whose pre-observe cap is below base_max
+        expected = 0
+        for pkg in powers:
+            if live.cap_mhz < base_max:
+                break
+            live.observe(pkg, dt)
+            expected += 1
+        assert observed == expected, replay.__name__
+        limiter.restore_control_state(state)
+        assert limiter.average_power_w.hex() == (
+            live.average_power_w.hex()
+        ), replay.__name__
+        assert limiter.cap_mhz.hex() == live.cap_mhz.hex(), replay.__name__
+        assert limiter._primed == live._primed, replay.__name__
+        return observed
+
     @pytest.mark.parametrize("limit_w", [None, 60.0, 40.0])
     def test_replay_matches_live_observe(self, skylake, limit_w):
         powers = [42.0, 55.0, 61.0, 58.0, 70.0, 30.0, 30.0, 65.0]
-        dt = 5e-3
-        live = self._limiter(skylake, limit_w)
-        replayed = self._limiter(skylake, limit_w)
-        observed, state = soa._replay_rapl(
-            replayed, powers, dt, skylake.max_frequency_mhz, len(powers)
-        )
-        for pkg in powers[:observed]:
-            live.observe(pkg, dt)
-        replayed.restore_control_state(state)
-        assert replayed.average_power_w.hex() == (
-            live.average_power_w.hex()
-        )
-        assert replayed.cap_mhz.hex() == live.cap_mhz.hex()
-        assert replayed._primed == live._primed
+        top = skylake.max_frequency_mhz
+        for replay in REPLAYS:
+            # unprimed (fresh) and primed limiters take different first
+            # ticks: the average is seeded, not blended; a base maximum
+            # below the top frequency lets a lowered cap climb back
+            # (the hysteresis branch) before anything binds
+            for primed in (False, True):
+                for base_max in (top, top - 300.0):
+                    live = self._limiter(skylake, limit_w)
+                    replayed = self._limiter(skylake, limit_w)
+                    if primed:
+                        live.observe(35.0, 5e-3)
+                        replayed.observe(35.0, 5e-3)
+                    self._assert_matches_live(
+                        replay, replayed, live, powers, base_max
+                    )
 
     def test_replay_stops_when_cap_binds(self, skylake):
-        limiter = self._limiter(skylake, 40.0)
-        # a huge overshoot drags the cap below max on the first observe,
-        # so only that single tick is batchable
-        observed, state = soa._replay_rapl(
-            limiter, [500.0, 500.0, 500.0], 5e-3,
-            skylake.max_frequency_mhz, 3,
-        )
-        assert observed == 1
-        assert state[1] < skylake.max_frequency_mhz
+        for replay in REPLAYS:
+            limiter = self._limiter(skylake, 40.0)
+            # a huge overshoot drags the cap below max on the first
+            # observe, so only that single tick is batchable
+            observed, state = replay(
+                limiter, [500.0, 500.0, 500.0], 5e-3,
+                skylake.max_frequency_mhz, 3,
+            )
+            assert observed == 1, replay.__name__
+            assert state[1] < skylake.max_frequency_mhz, replay.__name__
+            # a sustained small overshoot walks the cap down a few MHz
+            # per tick, so it crosses a base frequency below max several
+            # ticks in
+            observed = self._assert_matches_live(
+                replay,
+                self._limiter(skylake, 40.0),
+                self._limiter(skylake, 40.0),
+                [60.0] * 40,
+                skylake.max_frequency_mhz - 300.0,
+            )
+            assert 1 < observed < 40, replay.__name__
 
     def test_replay_refuses_already_bound_cap(self, skylake):
-        limiter = self._limiter(skylake, 40.0)
-        limiter.observe(500.0, 5e-3)
-        assert limiter.cap_mhz < skylake.max_frequency_mhz
-        observed, _ = soa._replay_rapl(
-            limiter, [10.0], 5e-3, skylake.max_frequency_mhz, 1
-        )
-        assert observed == 0
+        for replay in REPLAYS:
+            limiter = self._limiter(skylake, 40.0)
+            limiter.observe(500.0, 5e-3)
+            assert limiter.cap_mhz < skylake.max_frequency_mhz
+            before = limiter.control_state()
+            observed, state = replay(
+                limiter, [10.0], 5e-3, skylake.max_frequency_mhz, 1
+            )
+            assert observed == 0, replay.__name__
+            assert state == before, replay.__name__
+            assert limiter.control_state() == before, replay.__name__
 
     def test_replay_mutates_nothing_until_restore(self, skylake):
-        limiter = self._limiter(skylake, 40.0)
-        before = limiter.control_state()
-        soa._replay_rapl(
-            limiter, [90.0, 90.0], 5e-3, skylake.max_frequency_mhz, 2
-        )
-        assert limiter.control_state() == before
+        for replay in REPLAYS:
+            limiter = self._limiter(skylake, 40.0)
+            before = limiter.control_state()
+            replay(
+                limiter, [90.0, 90.0], 5e-3, skylake.max_frequency_mhz, 2
+            )
+            assert limiter.control_state() == before, replay.__name__
 
 
 class TestSupportGates:
@@ -328,11 +409,6 @@ class TestEngineSelector:
     def test_unknown_engine_rejected(self):
         with pytest.raises(SimulationError):
             SimEngine(batch_chip(), engine="simd")
-
-    def test_missing_numpy_falls_back_to_scalar(self, monkeypatch):
-        monkeypatch.setattr(soa, "HAVE_NUMPY", False)
-        engine = SimEngine(batch_chip(), engine="array")
-        assert engine.engine_mode == "scalar"
 
     def test_config_validates_engine(self):
         apps = (AppSpec("leela"),)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
+import numpy as np
 
 from repro.analysis.sanitizer import (
     SANITIZE_ENV,
@@ -33,7 +33,6 @@ class TestCanonical:
         assert canonical(0.1 + 0.2) != canonical(0.3)
 
     def test_numpy_scalars_canonicalise_like_python_floats(self):
-        np = pytest.importorskip("numpy")
         assert canonical(np.float64(1.5)) == canonical(1.5)
 
     def test_bool_is_not_treated_as_int_or_float(self):
