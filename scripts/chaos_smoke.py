@@ -41,7 +41,9 @@ is run under the serial scalar engine, the stacked array engine, and
 fork workers with per-epoch state digests recording
 (:mod:`repro.analysis.sanitizer`), and all three recordings must be
 identical — any divergence is reported as the first differing epoch,
-node, and field with both values.
+node, and field with both values.  A fault-free cluster wider than
+``DAEMON_GANG_MIN`` repeats the check between the stacked stepper, where
+the lockstep daemon pass runs, and fork workers, where it never does.
 
 A fleet drill closes the set: a 1,024-node facility → row → rack →
 node grid runs a low-activation diurnal day with one whole rack
@@ -544,35 +546,57 @@ def run_sanitizer_drill(seed: int) -> int:
     divergence the sanitizer names the first epoch, node, and field
     with both values, which is the whole point: a parallelism or
     vectorisation bug surfaces as a readable diff, not a byte mismatch.
+
+    Three nodes never reach the lockstep daemon pass
+    (:mod:`repro.core.gang`), so a fault-free cluster wider than
+    ``DAEMON_GANG_MIN`` runs twice more: stacked, where the pass steps
+    its daemons, and in fork workers, where every daemon iterates on
+    its own.
     """
     import dataclasses
 
     from repro.analysis.sanitizer import compare_all
     from repro.cluster import run_cluster
+    from repro.core.gang import DAEMON_GANG_MIN
     from repro.experiments.cluster_exp import default_cluster_config
 
     base = default_cluster_config(n_nodes=3, seed=seed)
-    modes = (
-        ("scalar", None),  # serial reference loop
-        ("array", 1),      # stacked struct-of-arrays batch
-        ("array", 2),      # fork workers
+    wide_nodes = DAEMON_GANG_MIN + 2
+    wide = dataclasses.replace(
+        default_cluster_config(
+            n_nodes=wide_nodes, budget_w=40.0 * wide_nodes, seed=seed
+        ),
+        engine="array",
     )
-    digests = []
-    for engine, jobs in modes:
-        config = dataclasses.replace(base, engine=engine)
-        run = run_cluster(config, 100.0, jobs=jobs, sanitize=True)
-        assert run.sanitizer is not None
-        digests.append(run.sanitizer)
-    divergence = compare_all(digests)
-    status = "FAIL" if divergence else "ok"
-    rows = len(digests[0])
-    print(f"[{status}] sanitizer drill: {len(modes)} stepping modes, "
-          f"{rows} node-epoch digests each, "
-          f"digest {digests[0].digest()[:12]}")
-    if divergence is not None:
-        print(f"  {divergence.describe()}")
-        return 1
-    return 0
+    drills = (
+        ("", base, 100.0, (
+            ("scalar", None),  # serial reference loop
+            ("array", 1),      # stacked struct-of-arrays batch
+            ("array", 2),      # fork workers
+        )),
+        (f" ({wide_nodes} nodes, daemon pass)", wide, 40.0, (
+            ("array", 1),      # stacked: lockstep daemon pass
+            ("array", 2),      # fork workers: per-node iterations
+        )),
+    )
+    rc = 0
+    for label, cluster, duration_s, modes in drills:
+        digests = []
+        for engine, jobs in modes:
+            config = dataclasses.replace(cluster, engine=engine)
+            run = run_cluster(config, duration_s, jobs=jobs, sanitize=True)
+            assert run.sanitizer is not None
+            digests.append(run.sanitizer)
+        divergence = compare_all(digests)
+        status = "FAIL" if divergence else "ok"
+        rows = len(digests[0])
+        print(f"[{status}] sanitizer drill{label}: {len(modes)} stepping "
+              f"modes, {rows} node-epoch digests each, "
+              f"digest {digests[0].digest()[:12]}")
+        if divergence is not None:
+            print(f"  {divergence.describe()}")
+            rc = 1
+    return rc
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -227,11 +227,19 @@ class PowerDaemon:
         """Register the monitoring loop with a simulation engine.
 
         ``gate`` forwards to :meth:`SimEngine.every` — the fault
-        injector uses it to drop or jitter iterations.
+        injector uses it to drop or jitter iterations.  Under
+        :func:`~repro.sim.engine.run_lockstep` the iterations of many
+        daemons due at one boundary go to the lockstep pass in
+        :mod:`repro.core.gang`, which falls back to :meth:`iteration`
+        for every daemon it cannot reproduce exactly.
         """
+        from repro.core.gang import step_daemons
+
         if not self._started:
             self.start()
-        engine.every(self.interval_s, self.iteration, gate=gate)
+        engine.every(
+            self.interval_s, self.iteration, gate=gate, batch=step_daemons
+        )
 
     # -- introspection -----------------------------------------------------------
 
@@ -343,22 +351,26 @@ class PowerDaemon:
             return self._last_good, False, True
         return None, False, False
 
-    def _validate(self, sample: TurbostatSample) -> bool:
-        """Reject physically implausible samples (garbage counters)."""
+    def plausible_bounds(self) -> tuple[float, float, float, float]:
+        """``(min_power_w, max_power_w, max_freq_mhz, max_ips)`` of a
+        plausible sample (see :meth:`_validate`)."""
         cfg = self.resilience
         power = self.chip.platform.power
+        max_mhz = self.chip.platform.max_frequency_mhz
+        return (
+            cfg.min_power_uncore_factor * power.uncore_watts,
+            cfg.max_plausible_power_factor * power.tdp_watts,
+            max_mhz * cfg.frequency_slack,
+            cfg.max_plausible_ipc * max_mhz * 1e6,
+        )
+
+    def _validate(self, sample: TurbostatSample) -> bool:
+        """Reject physically implausible samples (garbage counters)."""
         if sample.interval_s <= 0:
             return False
-        max_power = cfg.max_plausible_power_factor * power.tdp_watts
-        min_power = cfg.min_power_uncore_factor * power.uncore_watts
+        min_power, max_power, max_freq, max_ips = self.plausible_bounds()
         if not min_power <= sample.package_power_w <= max_power:
             return False
-        max_freq = self.chip.platform.max_frequency_mhz * cfg.frequency_slack
-        max_ips = (
-            cfg.max_plausible_ipc
-            * self.chip.platform.max_frequency_mhz
-            * 1e6
-        )
         for stats in sample.cores:
             if not 0.0 <= stats.active_frequency_mhz <= max_freq:
                 return False

@@ -54,6 +54,12 @@ class FrequencySharesPolicy(Policy):
         config: PolicyConfig | None = None,
     ):
         super().__init__(platform, apps, limit_w, config)
+        #: each app's claim shares and ceiling, in app order; both are
+        #: fixed for the policy's life (see :meth:`_claims`)
+        self.claim_shares = tuple(app.shares for app in self.apps)
+        self.claim_ceilings_mhz = tuple(
+            self.achievable_max_frequency(app) for app in self.apps
+        )
         self._targets: dict[str, float] = {}
         self._pool_mhz = 0.0
         # probe-backoff state (see module docstring)
@@ -81,23 +87,39 @@ class FrequencySharesPolicy(Policy):
         share-holders (section 5.2), so the floor is the lowest P-state,
         not zero.
         """
-        claims = []
-        for app in self.apps:
-            claims.append(
-                Claim(
-                    label=app.label,
-                    shares=app.shares,
-                    current=self._targets[app.label],
-                    lo=self.min_frequency,
-                    hi=self.achievable_max_frequency(app),
-                )
+        return [
+            Claim(
+                label=app.label,
+                shares=shares,
+                current=self._targets[app.label],
+                lo=self.min_frequency,
+                hi=ceiling_mhz,
             )
-        return claims
+            for app, shares, ceiling_mhz in zip(
+                self.apps, self.claim_shares, self.claim_ceilings_mhz
+            )
+        ]
 
     def redistribute(self, inputs: PolicyInputs) -> PolicyDecision:
-        error_w = self.scaled_step(inputs.power_error_w)
         claims = self._claims()
         lo, hi = pool_bounds(claims)
+        pool = self.step_pool(inputs.power_error_w, inputs.iteration, lo, hi)
+        if pool is not None:
+            self._targets = refill_pool(pool, claims)
+        return PolicyDecision(targets=dict(self._targets))
+
+    def step_pool(
+        self, power_error_w: float, iteration: int, lo: float, hi: float
+    ) -> float | None:
+        """Advance the probe/backoff state machine by one iteration.
+
+        ``lo``/``hi`` are the pool bounds of this iteration's claims.
+        Returns the pool the targets must be refilled to, or ``None``
+        when they stay as they are (probe on hold, or inside the
+        deadband).  The lockstep daemon pass (:mod:`repro.core.gang`)
+        calls this per node and refills every returned pool at once.
+        """
+        error_w = self.scaled_step(power_error_w)
 
         if error_w < 0.0 and self._last_move_up:
             # the upward move we just made overshot the limit
@@ -116,27 +138,25 @@ class FrequencySharesPolicy(Policy):
                 )
                 # stay in "probing" mode so a repeat violation halves
                 # again
-                self._targets = refill_pool(self._pool_mhz, claims)
-                return PolicyDecision(targets=dict(self._targets))
+                return self._pool_mhz
             # sub-bin dither at the quantization edge: roll back fully
             # and hold off, doubling the hold on repeats
             self._pool_mhz = min(max(self._pool_before_move, lo), hi)
-            self._hold_until = inputs.iteration + self._hold_length
+            self._hold_until = iteration + self._hold_length
             self._hold_length = min(
                 self._hold_length * 2, self.probe_hold_max
             )
             self._last_move_up = False
-            self._targets = refill_pool(self._pool_mhz, claims)
-            return PolicyDecision(targets=dict(self._targets))
+            return self._pool_mhz
 
         if error_w > 0.0:
-            if inputs.iteration < self._hold_until:
+            if iteration < self._hold_until:
                 # probing is on hold after a recent overshoot
-                return PolicyDecision(targets=dict(self._targets))
+                return None
         # repro-lint: disable=float-equality — scaled_step deadband returns literal 0.0
         elif error_w == 0.0:
             self._last_move_up = False
-            return PolicyDecision(targets=dict(self._targets))
+            return None
         else:
             # genuine over-limit not caused by our own probe: respond
             # immediately and forget the backoff (workload changed)
@@ -150,6 +170,4 @@ class FrequencySharesPolicy(Policy):
         self._pool_before_move = self._pool_mhz
         self._last_move_up = error_w > 0.0
         self._pool_mhz = min(max(self._pool_mhz + frequency_delta, lo), hi)
-        new = refill_pool(self._pool_mhz, claims)
-        self._targets = new
-        return PolicyDecision(targets=dict(new))
+        return self._pool_mhz

@@ -12,6 +12,7 @@ and remaining apps until everything is placed or everyone saturates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.errors import ShareError
 
@@ -105,15 +106,14 @@ def proportional_targets(
     """
     if not claims:
         return {}
-    floor_sum = sum(c.lo for c in claims)
-    ceil_sum = sum(c.hi for c in claims)
+    floor_sum, ceil_sum = pool_bounds(claims)
     if total <= floor_sum:
         return {c.label: c.lo for c in claims}
     if total >= ceil_sum:
         return {c.label: c.hi for c in claims}
 
     def placed(level: float) -> float:
-        return sum(
+        return left_sum(
             min(max(level * c.shares, c.lo), c.hi) for c in claims
         )
 
@@ -122,9 +122,17 @@ def proportional_targets(
     for _ in range(80):  # ~1e-24 relative precision, overkill but cheap
         mid = (lo_level + hi_level) / 2
         if placed(mid) < total:
+            settled = mid == lo_level
             lo_level = mid
         else:
+            settled = mid == hi_level
             hi_level = mid
+        # the pass left (lo_level, hi_level) as it was, so every later
+        # pass would repeat it; a zero midpoint never settles, because
+        # 0.0 == -0.0 although the two states differ
+        # repro-lint: disable=float-equality — exact zero test, see above
+        if settled and mid != 0.0:
+            break
     level = (lo_level + hi_level) / 2
     return {
         c.label: min(max(level * c.shares, c.lo), c.hi) for c in claims
@@ -134,7 +142,21 @@ def proportional_targets(
 def pool_bounds(claims: list[Claim]) -> tuple[float, float]:
     """Feasible range of the allocation pool: sum of floors to sum of
     ceilings."""
-    return (sum(c.lo for c in claims), sum(c.hi for c in claims))
+    return (left_sum(c.lo for c in claims), left_sum(c.hi for c in claims))
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``((0.0 + v0) + v1) + ...``: a plain left fold in claim order.
+
+    Spelled out because ``sum`` of floats is compensated from Python
+    3.12 on, and the lockstep daemon pass (:mod:`repro.core.gang`)
+    reproduces these sums column by column in numpy, which only a plain
+    fold matches bit for bit on every Python.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def refill_pool(pool_total: float, claims: list[Claim]) -> dict[str, float]:

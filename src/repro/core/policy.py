@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigError, UnsupportedFeatureError
 from repro.core.types import ManagedApp, PolicyDecision, PolicyInputs
 from repro.hw.platform import PlatformSpec
+from repro.hw.turbo import TurboModel
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,12 @@ class Policy(abc.ABC):
         self.platform = platform
         self.apps = list(apps)
         self.limit_w = limit_w
+        #: turbo ceiling with every managed app active (see
+        #: :meth:`achievable_max_frequency`); platform and app count are
+        #: fixed for the policy's life.
+        self._all_active_ceiling_mhz = TurboModel(platform).ceiling_mhz(
+            len(self.apps)
+        )
         self.config = config or PolicyConfig(
             max_power_w=platform.power.tdp_watts
         )
@@ -114,10 +121,7 @@ class Policy(abc.ABC):
         to them would skew the proportional split toward saturated apps.
         The priority policy deliberately does NOT use this — parking LP
         apps is exactly how it unlocks those bins."""
-        from repro.hw.turbo import TurboModel
-
-        ceiling = TurboModel(self.platform).ceiling_mhz(len(self.apps))
-        return min(self.app_max_frequency(app), ceiling)
+        return min(self.app_max_frequency(app), self._all_active_ceiling_mhz)
 
     @property
     def min_frequency(self) -> float:

@@ -64,22 +64,26 @@ class CpuFreqInterface:
         hi = self.platform.max_frequency_mhz
         target = min(max(freq_mhz, lo), hi)
         pstate = self.platform.pstates.quantize(target, nearest=nearest)
+        address, value = self.pstate_request(pstate.frequency_mhz)
+        self.msr.write(cpu, address, value)
+
+    def pstate_request(self, freq_mhz: float) -> tuple[int, int]:
+        """The ``(register, value)`` write that requests grid point
+        ``freq_mhz``, in the vendor's encoding."""
         if self.platform.vendor == "intel":
-            ratio = int(round(pstate.frequency_mhz / 100.0))
-            if abs(ratio * 100.0 - pstate.frequency_mhz) > 1e-6:
+            ratio = int(round(freq_mhz / 100.0))
+            if abs(ratio * 100.0 - freq_mhz) > 1e-6:
                 raise FrequencyError(
-                    f"{pstate.frequency_mhz} MHz is not a multiple of the "
+                    f"{freq_mhz} MHz is not a multiple of the "
                     "100 MHz Intel bus clock"
                 )
-            self.msr.write(cpu, msrdef.IA32_PERF_CTL, ratio << 8)
-        else:
-            steps = int(round(pstate.frequency_mhz / 25.0))
-            if abs(steps * 25.0 - pstate.frequency_mhz) > 1e-6:
-                raise FrequencyError(
-                    f"{pstate.frequency_mhz} MHz is not a multiple of the "
-                    "25 MHz Ryzen step"
-                )
-            self.msr.write(cpu, msrdef.MSR_AMD_PSTATE_CTL, steps)
+            return msrdef.IA32_PERF_CTL, ratio << 8
+        steps = int(round(freq_mhz / 25.0))
+        if abs(steps * 25.0 - freq_mhz) > 1e-6:
+            raise FrequencyError(
+                f"{freq_mhz} MHz is not a multiple of the 25 MHz Ryzen step"
+            )
+        return msrdef.MSR_AMD_PSTATE_CTL, steps
 
     def set_all_mhz(self, freq_mhz: float) -> None:
         """Set every CPU to one frequency (global-DVFS emulation)."""

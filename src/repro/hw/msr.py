@@ -112,6 +112,14 @@ class MSRFile:
         """``rdmsr``: read a 64-bit register on a CPU."""
         return self._values[self._slot(cpu, address)]
 
+    def read_all(self, address: int) -> list[int]:
+        """``rdmsr`` of one register on every CPU, in CPU order."""
+        cpus = range(self._n_cpus)
+        if self.definition(address).package_scope:
+            return [self._values[(0, address)] for _ in cpus]
+        values = self._values
+        return [values[(cpu, address)] for cpu in cpus]
+
     def write(self, cpu: int, address: int, value: int) -> None:
         """``wrmsr``: write a register, enforcing the access policy."""
         msr_def = self.definition(address)

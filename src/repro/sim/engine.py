@@ -60,6 +60,12 @@ ENGINES = ("scalar", "array")
 GateResult = Union[str, float, None]
 TickGate = Callable[[float], GateResult]
 
+#: A due callback with the simulated time it fires at.
+DueCall = tuple[Callable[[float], object], float]
+#: A batch entry point (see :meth:`SimEngine.every`): must have the
+#: effect of ``callback(now_s)`` for every pair it is handed.
+BatchEntry = Callable[[list[DueCall]], None]
+
 
 def _chip_digest(chip: Chip) -> dict[str, object]:
     """Canonical per-window chip state for the determinism sanitizer.
@@ -86,6 +92,7 @@ class _Periodic:
     callback: Callable[[float], None]
     next_due: int
     gate: TickGate | None = None
+    batch: BatchEntry | None = None
 
 
 @dataclass
@@ -128,6 +135,7 @@ class SimEngine:
         self, period_s: float, callback: Callable[[float], None], *,
         phase_s: float | None = None,
         gate: TickGate | None = None,
+        batch: BatchEntry | None = None,
     ) -> None:
         """Register ``callback(sim_time_s)`` to run every ``period_s``.
 
@@ -138,6 +146,14 @@ class SimEngine:
         rather than being silently rewritten.
 
         ``gate`` is consulted at every deadline; see :data:`GateResult`.
+
+        ``batch`` is an optional batch entry point for
+        :func:`run_lockstep`: at a boundary where this is the engine's
+        only due callback, the lockstep loop hands ``(callback, now_s)``
+        to one ``batch(due)`` call per boundary together with every other
+        gang engine's, instead of calling it in place.  It must have the
+        same effect as calling each callback; :meth:`run_ticks` always
+        calls the callback itself.
         """
         period_ticks = int(round(period_s / self.chip.tick_s))
         if period_ticks <= 0:
@@ -158,7 +174,9 @@ class SimEngine:
                     "tick boundary"
                 )
             first = self._ticks_run + phase_ticks
-        self._periodics.append(_Periodic(period_ticks, callback, first, gate))
+        self._periodics.append(
+            _Periodic(period_ticks, callback, first, gate, batch)
+        )
 
     def at(self, time_s: float, callback: Callable[[float], None]) -> None:
         """Schedule a one-shot ``callback(sim_time_s)`` at ``time_s``.
@@ -186,8 +204,26 @@ class SimEngine:
             raise SimulationError("gate returned a negative deferral")
         return max(1, int(round(delay_s / self.chip.tick_s)))
 
-    def _process_due_callbacks(self) -> None:
-        """Fire every periodic/one-shot due at the current tick count."""
+    def _process_due_callbacks(
+        self, batches: dict[BatchEntry, list[DueCall]] | None = None
+    ) -> None:
+        """Fire every periodic/one-shot due at the current tick count.
+
+        With ``batches`` (the lockstep loop), a lone due callback that
+        registered a batch entry point is queued there instead of fired:
+        the chip is flushed and the deadline advanced exactly as below.
+        """
+        if batches is not None:
+            lone = self._lone_due()
+            if lone is not None and lone.batch is not None and (
+                lone.gate is None
+            ):
+                self.chip.flush_counters()
+                batches.setdefault(lone.batch, []).append(
+                    (lone.callback, self.chip.time_s)
+                )
+                lone.next_due = self._ticks_run + lone.period_ticks
+                return
         flushed = False
         for periodic in self._periodics:
             if self._ticks_run < periodic.next_due:
@@ -231,6 +267,16 @@ class SimEngine:
             self._oneshots = [
                 o for o in self._oneshots if not o.fired
             ]
+
+    def _lone_due(self) -> _Periodic | None:
+        """The periodic due now, if it is the only callback due."""
+        now = self._ticks_run
+        due = [p for p in self._periodics if now >= p.next_due]
+        if len(due) != 1:
+            return None
+        if any(not o.fired and now >= o.due_tick for o in self._oneshots):
+            return None
+        return due[0]
 
     def _gap_to_next_deadline(self, remaining: int) -> int:
         """Ticks until the earliest pending deadline, capped and >= 1."""
@@ -307,6 +353,12 @@ def run_lockstep(engines: Sequence[SimEngine], n_ticks: int) -> None:
 run_ticks` would.  Semantically equivalent to running each engine's
     ``run_ticks(n_ticks)`` in sequence — node chips are independent, so
     interleaving their ticks cannot change any result.
+
+    A callback registered with a batch entry point (the power daemon's
+    iteration, see :mod:`repro.core.gang`) is not fired in place when it
+    is its engine's only callback due at a boundary: every such call of
+    the boundary goes to one ``batch(due)`` call after all gang engines
+    have been flushed and had their deadlines advanced.
     """
     gang: list[SimEngine] = []
     for engine in engines:
@@ -323,10 +375,13 @@ run_ticks` would.  Semantically equivalent to running each engine's
             engine._gap_to_next_deadline(remaining) for engine in gang
         )
         soa.advance_chips(chips, gap)
+        batches: dict[BatchEntry, list[DueCall]] = {}
         for engine in gang:
             engine._ticks_run += gap
             engine.batched_segments += 1
-            engine._process_due_callbacks()
+            engine._process_due_callbacks(batches)
+        for batch, due in batches.items():
+            batch(due)
         remaining -= gap
     for engine in gang:
         engine.chip.flush_counters()

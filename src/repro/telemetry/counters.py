@@ -110,15 +110,19 @@ class CounterDelta:
         return min(1.0, self.mperf[core_id] / (tsc_mhz * 1e6 * self.dt_s))
 
 
+def package_energy_address(platform: PlatformSpec) -> int:
+    """The vendor's package energy-status MSR."""
+    if platform.vendor == "intel":
+        return msrdef.MSR_PKG_ENERGY_STATUS
+    return msrdef.MSR_AMD_PKG_ENERGY
+
+
 def read_snapshot(
     platform: PlatformSpec, msr: MSRFile, timestamp_s: float
 ) -> CounterSnapshot:
     """Read all monitored counters through the MSR interface."""
     n = platform.n_cores
-    if platform.vendor == "intel":
-        pkg_addr = msrdef.MSR_PKG_ENERGY_STATUS
-    else:
-        pkg_addr = msrdef.MSR_AMD_PKG_ENERGY
+    pkg_addr = package_energy_address(platform)
     core_energy = None
     if platform.has_per_core_energy:
         core_energy = tuple(

@@ -17,6 +17,7 @@ easy to get wrong (kHz sysfs values, micro-joule counters with wraparound).
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Iterable, Sequence
 
@@ -119,10 +120,30 @@ def quantize_down(value: float, grid: Sequence[float]) -> float:
 
 
 def quantize_nearest(value: float, grid: Sequence[float]) -> float:
-    """Snap ``value`` to the nearest grid point (ties toward the lower)."""
+    """Snap ``value`` to the nearest grid point (ties toward the lower).
+
+    ``grid`` must be sorted ascending.  The result is the minimum of
+    the grid under the key ``(abs(point - value), point)``, found by
+    bisection: rounded distances never decrease away from ``value`` on
+    either side, so the best point below ``value`` is the lowest of the
+    run sharing its nearest left neighbour's distance, and the best
+    point at or above it is the nearest right neighbour.  (The run is
+    longer than one point only when the distances round together, e.g.
+    for a ``value`` of 1e300 or infinity; NaN compares false everywhere
+    and yields the lowest point.)
+    """
     if not grid:
         raise ValueError("empty frequency grid")
-    return min(grid, key=lambda point: (abs(point - value), point))
+    right = bisect.bisect_left(grid, value)
+    if right == 0:
+        return grid[0]
+    left = right - 1
+    left_distance = abs(grid[left] - value)
+    while left > 0 and abs(grid[left - 1] - value) <= left_distance:
+        left -= 1
+    if right < len(grid) and abs(grid[right] - value) < left_distance:
+        return grid[right]
+    return grid[left]
 
 
 def weighted_mean(values: Iterable[float], weights: Iterable[float]) -> float:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.minfund import (
     Claim,
     distribute_min_funding,
+    left_sum,
     pool_bounds,
     proportional_targets,
     refill_pool,
@@ -96,3 +97,66 @@ def test_refill_pool_monotone_in_pool(claims, pool_a, pool_b):
     out_large = refill_pool(large, claims)
     for claim in claims:
         assert out_large[claim.label] >= out_small[claim.label] - 1e-6
+
+
+def reference_proportional_targets(total, claims):
+    """``proportional_targets`` before its early exit: every one of the
+    80 bisection passes runs.  Sums are the same left folds."""
+    if not claims:
+        return {}
+    floor_sum, ceil_sum = pool_bounds(claims)
+    if total <= floor_sum:
+        return {c.label: c.lo for c in claims}
+    if total >= ceil_sum:
+        return {c.label: c.hi for c in claims}
+
+    def placed(level):
+        return left_sum(
+            min(max(level * c.shares, c.lo), c.hi) for c in claims
+        )
+
+    lo_level = 0.0
+    hi_level = max(c.hi / c.shares for c in claims)
+    for _ in range(80):
+        mid = (lo_level + hi_level) / 2
+        if placed(mid) < total:
+            lo_level = mid
+        else:
+            hi_level = mid
+    level = (lo_level + hi_level) / 2
+    return {
+        c.label: min(max(level * c.shares, c.lo), c.hi) for c in claims
+    }
+
+
+bounds = st.one_of(
+    st.floats(min_value=-1e4, max_value=1e4),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300]),
+)
+
+
+@st.composite
+def wide_claims(draw, max_claims=6):
+    """Claims with negative, zero and subnormal bounds too."""
+    n = draw(st.integers(min_value=1, max_value=max_claims))
+    claims = []
+    for i in range(n):
+        lo, hi = sorted((draw(bounds), draw(bounds)))
+        shares = draw(st.floats(min_value=1e-3, max_value=1e3))
+        claims.append(Claim(f"c{i}", shares, lo, lo, hi))
+    return claims
+
+
+@given(
+    st.one_of(claims_strategy(), wide_claims()),
+    st.one_of(st.floats(), st.floats(min_value=-10.0, max_value=300.0)),
+)
+@settings(max_examples=500, deadline=None)
+def test_proportional_targets_early_exit_matches_all_passes(claims, total):
+    """Stopping once a pass leaves the bisection interval unchanged
+    gives the same bits as running all 80 passes."""
+    out = proportional_targets(total, claims)
+    ref = reference_proportional_targets(total, claims)
+    assert {k: v.hex() for k, v in out.items()} == {
+        k: v.hex() for k, v in ref.items()
+    }

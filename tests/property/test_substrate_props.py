@@ -26,6 +26,48 @@ def test_quantize_lands_on_grid(platform, freq):
         assert pstate.frequency_mhz in platform.pstates.frequencies_mhz
 
 
+def reference_quantize_nearest(value, grid):
+    """``quantize_nearest`` before bisection: a full scan under the
+    ``(distance, point)`` key, so ties go to the lower point."""
+    return min(grid, key=lambda point: (abs(point - value), point))
+
+
+grids = st.one_of(
+    st.sampled_from(
+        [SKYLAKE.pstates.frequencies_mhz, RYZEN.pstates.frequencies_mhz]
+    ),
+    # integer points make exact midpoint ties
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=30,
+             unique=True).map(lambda xs: [float(x) for x in sorted(xs)]),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+             max_size=30, unique=True).map(sorted),
+)
+
+
+@st.composite
+def grid_and_value(draw):
+    grid = draw(grids)
+    value = draw(st.one_of(
+        st.floats(),  # NaN, infinities and the extremes included
+        st.sampled_from(grid),  # exact grid points
+        st.sampled_from(grid).map(lambda p: p - 1e300),  # off the bottom
+        st.sampled_from(grid).map(lambda p: p + 1e300),  # off the top
+        st.integers(0, len(grid) - 1).map(  # midpoints: ties
+            lambda i: (grid[i] + grid[min(i + 1, len(grid) - 1)]) / 2
+        ),
+    ))
+    return grid, value
+
+
+@given(grid_and_value())
+@settings(max_examples=500, deadline=None)
+def test_quantize_nearest_matches_full_scan(case):
+    grid, value = case
+    assert quantize_nearest(value, grid) == reference_quantize_nearest(
+        value, grid
+    )
+
+
 @given(platforms, frequencies)
 @settings(max_examples=200, deadline=None)
 def test_quantize_down_never_exceeds_request(platform, freq):

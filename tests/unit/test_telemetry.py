@@ -130,16 +130,6 @@ class TestTurbostat:
         chip.run_ticks(100)
         first = stat.sample(chip.time_s)
         assert first.interval_s > 0.0
-        assert stat.history == [first]
-
-    def test_history_recorded(self, skylake):
-        chip = busy_chip(skylake)
-        stat = Turbostat(skylake, chip.msr)
-        stat.prime(chip.time_s)
-        for _ in range(3):
-            chip.run_ticks(100)
-            stat.sample(chip.time_s)
-        assert len(stat.history) == 3
 
     def test_core_power_none_on_skylake(self, skylake):
         chip = busy_chip(skylake)
