@@ -44,6 +44,9 @@ identical — any divergence is reported as the first differing epoch,
 node, and field with both values.  A fault-free cluster wider than
 ``DAEMON_GANG_MIN`` repeats the check between the stacked stepper, where
 the lockstep daemon pass runs, and fork workers, where it never does.
+A websearch leg compares a RAPL-bound Fig 5 stack on the scalar engine
+with the array engine, whose fused fallback steps every one of its
+ticks.
 
 A fleet drill closes the set: a 1,024-node facility → row → rack →
 node grid runs a low-activation diurnal day with one whole rack
@@ -596,7 +599,53 @@ def run_sanitizer_drill(seed: int) -> int:
         if divergence is not None:
             print(f"  {divergence.describe()}")
             rc = 1
-    return rc
+    return rc | run_websearch_leg()
+
+
+def run_websearch_leg() -> int:
+    """The array engine's fused fallback must match the scalar engine.
+
+    A co-located Fig 5 stack — websearch on nine cores beside cpuburn,
+    RAPL-bound at 40 W for 10 s — never takes the array batch; on the
+    array engine every tick runs the fused loop.  Each engine gets its
+    own digest, recorded every simulated second (the chip after each
+    ``run`` window, plus the cluster's clock, completions, queue and
+    latencies and every core's energy), so the leg runs with or without
+    ``REPRO_SANITIZE``.
+    """
+    from repro.analysis.sanitizer import StateDigest, compare_all
+    from repro.experiments.latency_exp import build_latency_stack
+
+    digests = []
+    for mode in ("scalar", "array"):
+        engine, _, cluster = build_latency_stack(
+            "rapl", 40.0, True, engine=mode
+        )
+        digest = StateDigest(f"websearch/{mode}")
+        engine.sanitizer = digest
+        for second in range(1, 11):
+            engine.run(1.0)
+            chip = engine.chip
+            digest.record(second, "websearch", {
+                "now": cluster.now,
+                "completed": cluster.completed_requests,
+                "queue": cluster.queue_length(),
+                "latencies": cluster.latencies(),
+                "core_energy_j": [
+                    chip.energy.core_energy_joules(core.core_id)
+                    for core in chip.cores
+                ],
+            })
+        digests.append(digest)
+    divergence = compare_all(digests)
+    status = "FAIL" if divergence else "ok"
+    print(f"[{status}] sanitizer drill (websearch at 40 W): scalar vs "
+          f"array engine, {len(digests[0])} digests each, "
+          f"digest {digests[0].digest()[:12]}")
+    if divergence is not None:
+        print(f"  {divergence.describe()}")
+        return 1
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

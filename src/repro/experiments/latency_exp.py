@@ -110,20 +110,22 @@ def _offline_websearch_baseline_ips(duration_s: float = 20.0) -> list[float]:
     ]
 
 
-def _run_one(
+def build_latency_stack(
     policy_name: str,
     limit_w: float,
     colocated: bool,
     *,
-    websearch_shares: float,
-    cpuburn_shares: float,
-    duration_s: float,
-    warmup_s: float,
-    baseline_ips: list[float] | None,
-) -> LatencyRun:
+    websearch_shares: float = 1.0,
+    cpuburn_shares: float = 1.0,
+    baseline_ips: list[float] | None = None,
+    engine: str = "array",
+) -> tuple[SimEngine, PowerDaemon, WebsearchCluster]:
+    """One websearch stack: nine serving cores, cpuburn on the tenth when
+    ``colocated``, and a power daemon running ``policy_name`` over them,
+    attached to a fresh engine of the given kind."""
     platform = get_platform("skylake")
     chip = Chip(platform, tick_s=_TICK_S)
-    engine = SimEngine(chip)
+    sim = SimEngine(chip, engine=engine)
     cluster = WebsearchCluster(list(range(_N_SERVING)), WebsearchConfig())
     chip.attach_cluster(cluster)
     managed: list[ManagedApp] = []
@@ -158,7 +160,28 @@ def _run_one(
         )
     policy = _POLICIES[policy_name](platform, managed, limit_w)
     daemon = PowerDaemon(chip, policy)
-    daemon.attach(engine)
+    daemon.attach(sim)
+    return sim, daemon, cluster
+
+
+def _run_one(
+    policy_name: str,
+    limit_w: float,
+    colocated: bool,
+    *,
+    websearch_shares: float,
+    cpuburn_shares: float,
+    duration_s: float,
+    warmup_s: float,
+    baseline_ips: list[float] | None,
+) -> LatencyRun:
+    engine, daemon, cluster = build_latency_stack(
+        policy_name, limit_w, colocated,
+        websearch_shares=websearch_shares,
+        cpuburn_shares=cpuburn_shares,
+        baseline_ips=baseline_ips,
+    )
+    chip = engine.chip
     engine.run(warmup_s)
     cluster.reset_latency_window()
     start_requests = cluster.completed_requests

@@ -63,7 +63,12 @@ class PStateTable:
             raise FrequencyError("duplicate frequencies in P-state table")
         self._pstates: tuple[PState, ...] = tuple(ordered)
         self._frequencies: tuple[float, ...] = tuple(freqs)
-        self._voltage_cache: dict[float, float] = {}
+        #: grid frequency -> its voltage; built once, never grown (an
+        #: off-grid frequency, such as a clipping RAPL cap, is a
+        #: continuous float and would add one entry per lookup)
+        self._grid_voltage: dict[float, float] = {
+            p.frequency_mhz: p.voltage_v for p in ordered
+        }
 
     def __eq__(self, other: object) -> bool:
         # value equality so PlatformSpec (a frozen dataclass holding a
@@ -194,25 +199,24 @@ class PStateTable:
         """Voltage at an arbitrary frequency (interpolating between points).
 
         Continuous interpolation supports the power model when policies
-        reason about off-grid targets before quantization.
+        reason about off-grid targets before quantization.  A grid point
+        is one dict hit; the interpolation would return the same bits
+        there (its fraction is 0.0).
         """
-        cached = self._voltage_cache.get(frequency_mhz)
-        if cached is not None:
-            return cached
+        voltage = self._grid_voltage.get(frequency_mhz)
+        if voltage is not None:
+            return voltage
         freqs = self._frequencies
         if frequency_mhz <= freqs[0]:
-            voltage = self._pstates[0].voltage_v
-        elif frequency_mhz >= freqs[-1]:
-            voltage = self._pstates[-1].voltage_v
-        else:
-            pos = bisect.bisect_right(freqs, frequency_mhz)
-            lo, hi = self._pstates[pos - 1], self._pstates[pos]
-            frac = (frequency_mhz - lo.frequency_mhz) / (
-                hi.frequency_mhz - lo.frequency_mhz
-            )
-            voltage = lo.voltage_v + frac * (hi.voltage_v - lo.voltage_v)
-        self._voltage_cache[frequency_mhz] = voltage
-        return voltage
+            return self._pstates[0].voltage_v
+        if frequency_mhz >= freqs[-1]:
+            return self._pstates[-1].voltage_v
+        pos = bisect.bisect_right(freqs, frequency_mhz)
+        lo, hi = self._pstates[pos - 1], self._pstates[pos]
+        frac = (frequency_mhz - lo.frequency_mhz) / (
+            hi.frequency_mhz - lo.frequency_mhz
+        )
+        return lo.voltage_v + frac * (hi.voltage_v - lo.voltage_v)
 
     def acpi_index(self, pstate: PState) -> int:
         """ACPI-style index: P0 is the fastest state (paper section 2.1)."""

@@ -29,11 +29,13 @@ to the scalar reference.  That holds because
   operation order — on local floats per chip, or for wide gangs once
   per tick across every limited chip — and written back only for the
   committed prefix;
-* anything the array path cannot reproduce exactly falls back to the
-  scalar loop: websearch clusters attached, non-batch loads (timeshare,
-  cluster serving cores), ``dirty_caching=False`` reference mode, grids
-  with fewer than two points, or gaps shorter than
-  :data:`MIN_BATCH_TICKS`.
+* ticks the batch cannot take — chips with websearch clusters or
+  non-batch loads (time-shared cores, cluster serving cores) or a grid
+  with fewer than two points, gaps shorter than :data:`MIN_BATCH_TICKS`,
+  and :data:`RAPL_SCALAR_TICKS` stretches while a cap clips — run the
+  fused per-tick loop (:func:`repro.sim.fused.advance_fused`), which is
+  ``Chip.tick`` on local floats.  Only ``dirty_caching=False`` reference
+  chips step through ``Chip.advance_ticks`` itself.
 
 Gathering is two-tier.  Rows derived from the resolved P-state view and
 the load placement (:class:`_ChipStatic`) are cached on the chip and
@@ -52,9 +54,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.errors import SimulationError
 from repro.hw.cstates import EXIT_LATENCY_S, CState
 from repro.sim import kernel
 from repro.sim.core import BatchCoreLoad, IdleLoad, LoadSample
+from repro.sim.fused import advance_fused
 from repro.units import clamp
 
 if TYPE_CHECKING:
@@ -63,14 +67,14 @@ if TYPE_CHECKING:
     from repro.sim.chip import Chip
 
 #: below this many ticks the fixed numpy call overhead outweighs the
-#: vector win; the scalar loop takes the gap (1-tick cadences like the
+#: vector win; the fused loop takes the gap (1-tick cadences like the
 #: thermal daemon land here automatically).
 MIN_BATCH_TICKS = 8
 #: candidate-batch ceiling: bounds the work discarded when an event
 #: (finish / RAPL bind) cuts a batch short.
 MAX_BATCH_TICKS = 512
-#: scalar ticks taken after a batch commits nothing (the RAPL cap is
-#: actively clipping): the cap moves every tick there, so immediately
+#: fused-loop ticks taken after a batch commits nothing (the RAPL cap
+#: is actively clipping): the cap moves every tick there, so immediately
 #: retrying the vector path would compute and discard full candidate
 #: batches one committed tick at a time.
 RAPL_SCALAR_TICKS = 32
@@ -113,11 +117,12 @@ def _grid_arrays(table: "PStateTable") -> tuple["np.ndarray", "np.ndarray"]:
 def chip_supports_array(chip: "Chip") -> bool:
     """Whether the batched array path can step this chip exactly.
 
-    Anything outside the fast path's modelled invariants — websearch
+    Anything outside the batch's modelled invariants — websearch
     clusters (advanced with a global frequency view each tick),
-    non-batch loads, the ``dirty_caching=False`` reference mode (which
-    re-resolves P-states every tick), or a degenerate V/f grid — takes
-    the scalar loop instead.
+    non-batch loads, or a degenerate V/f grid — takes the fused per-tick
+    loop instead (:func:`repro.sim.fused.advance_fused`); the
+    ``dirty_caching=False`` reference mode (which re-resolves P-states
+    every tick) takes ``Chip.advance_ticks``.
     """
     if not chip.dirty_caching or chip.clusters:
         return False
@@ -262,8 +267,8 @@ class ChipArrayState:
     lazy P-state refresh the scalar tick would (so a pending dirty flag
     resolves identically, including raising on invalid simultaneous
     P-state requests).  Static rows are keyed on the chip's view
-    *generation*, not on who cleared the dirty flag: a refresh run by a
-    scalar tick in between batches (which consumes ``_dirty``) must
+    *generation*, not on who cleared the dirty flag: a refresh run by
+    the fused loop in between batches (which consumes ``_dirty``) must
     still invalidate rows gathered from the older view.
     """
 
@@ -311,18 +316,19 @@ def advance_chip(chip: "Chip", n_ticks: int) -> None:
 def advance_chips(chips: list["Chip"], n_ticks: int) -> None:
     """Advance every chip by ``n_ticks``, batching where possible.
 
-    Chips the array path cannot step exactly take the scalar loop;
+    Chips the array path cannot step exactly take the fused loop (or,
+    in ``dirty_caching=False`` reference mode, ``Chip.advance_ticks``);
     the rest are stacked along the core axis (grouped by tick length)
     and stepped as one ``(ticks, total cores)`` batch.
     """
-    if n_ticks <= 0:
-        for chip in chips:
-            chip.advance_ticks(n_ticks)
-        return
+    if n_ticks < 0:
+        raise SimulationError("cannot run negative ticks")
     groups: dict[float, list["Chip"]] = {}
     for chip in chips:
         if chip_supports_array(chip):
             groups.setdefault(chip.tick_s, []).append(chip)
+        elif chip.dirty_caching:
+            advance_fused(chip, n_ticks)
         else:
             chip.advance_ticks(n_ticks)
     for group in groups.values():
@@ -334,17 +340,17 @@ def _advance_group(chips: list["Chip"], n_ticks: int) -> None:
     while remaining > 0:
         if remaining < MIN_BATCH_TICKS:
             for chip in chips:
-                chip.advance_ticks(remaining)
+                advance_fused(chip, remaining)
             return
         states = [ChipArrayState(chip) for chip in chips]
         committed = _advance_batch(states, min(remaining, MAX_BATCH_TICKS))
         if committed == 0:
-            # the RAPL cap is clipping right now: run scalar for a
-            # stretch instead of re-deriving candidates one tick at a
+            # the RAPL cap is clipping right now: run the fused loop for
+            # a stretch instead of re-deriving candidates one tick at a
             # time while the cap walks
             committed = min(remaining, RAPL_SCALAR_TICKS)
             for chip in chips:
-                chip.advance_ticks(committed)
+                advance_fused(chip, committed)
         remaining -= committed
 
 
@@ -525,7 +531,7 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
 
     Returns 0 (committing nothing, building nothing) only when a RAPL
     cap already clips the very first tick — the caller then takes the
-    scalar path.
+    fused loop.
     """
     for state in states:
         limiter = state.chip.rapl

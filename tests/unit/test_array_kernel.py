@@ -21,7 +21,7 @@ from repro.config import AppSpec, ExperimentConfig, default_engine
 from repro.errors import ConfigError, SimulationError
 from repro.hw.platform import get_platform
 from repro.hw.rapl import RaplLimiter
-from repro.sim import kernel, soa
+from repro.sim import fused, kernel, soa
 from repro.sim.chip import Chip
 from repro.sim.core import BatchCoreLoad, LoadSample
 from repro.sim.engine import ENGINES, SimEngine
@@ -73,6 +73,44 @@ def chip_fingerprint(chip) -> list[str]:
         parts.append(chip.rapl.average_power_w.hex())
         parts.append(chip.rapl.cap_mhz.hex())
         parts.append(str(chip.rapl.limit_w))
+    for cluster in chip.clusters:
+        parts.extend(cluster_fingerprint(cluster))
+    return parts
+
+
+def _request_hex(request) -> str:
+    if request is None:
+        return "none"
+    return (
+        f"{request.submitted_at.hex()}|{request.cpu_work_s.hex()}|"
+        f"{request.mem_work_s.hex()}"
+    )
+
+
+def cluster_fingerprint(cluster) -> list[str]:
+    """Every observable of an attached websearch cluster, exactly: the
+    clock, completions and latencies, the queue, each serving core's
+    request in service and counters, the thinking users, the RNG."""
+    parts = [
+        cluster.now.hex(),
+        str(cluster.completed_requests),
+        "lat:" + ",".join(x.hex() for x in cluster.latencies()),
+        "queue:" + ",".join(_request_hex(r) for r in cluster._queue),
+    ]
+    for core_id in cluster.core_ids:
+        state = cluster._cores[core_id]
+        parts.append(
+            f"{core_id}:{_request_hex(state.current)}|"
+            f"{state.busy_time_s.hex()}|{state.instructions.hex()}|"
+            f"{state.total_busy_s.hex()}"
+        )
+    parts.append(
+        "think:" + ",".join(
+            f"{wake.hex()}/{seq}" for wake, seq in cluster._thinkers
+        )
+    )
+    parts.append(str(cluster._think_seq))
+    parts.append(repr(cluster._rng.getstate()))
     return parts
 
 
@@ -327,6 +365,17 @@ class TestSupportGates:
         a.advance_ticks(soa.MIN_BATCH_TICKS - 1)
         soa.advance_chip(b, soa.MIN_BATCH_TICKS - 1)
         assert chip_fingerprint(a) == chip_fingerprint(b)
+
+    def test_fused_loop_refuses_reference_mode(self):
+        """The fused loop resolves the P-state view once per window, so
+        it must not stand in for the re-resolve-every-tick mode."""
+        chip = batch_chip()
+        chip.dirty_caching = False
+        with pytest.raises(SimulationError):
+            fused.advance_fused(chip, 10)
+        with pytest.raises(SimulationError):
+            fused.advance_fused(batch_chip(), -1)
+        assert chip.time_s == 0.0
 
 
 class TestArrayAdvance:

@@ -1,8 +1,13 @@
 """Tests for P-state tables: construction, quantization, voltages."""
 
+import bisect
+import copy
+import random
+
 import pytest
 
 from repro.errors import FrequencyError
+from repro.hw.platform import ryzen_1700x, skylake_xeon_4114
 from repro.hw.pstate import PState, PStateTable
 
 
@@ -135,6 +140,50 @@ class TestVoltageInterpolation:
         freqs = [800 + 10 * i for i in range(71)]
         voltages = [table.voltage_for_frequency(f) for f in freqs]
         assert all(b >= a for a, b in zip(voltages, voltages[1:]))
+
+    @pytest.mark.parametrize(
+        "table",
+        [small_table(), skylake_xeon_4114().pstates, ryzen_1700x().pstates],
+        ids=["small", "skylake", "ryzen"],
+    )
+    def test_lookups_match_formula_and_store_nothing(self, table):
+        """A clipping RAPL cap asks for a new off-grid frequency every
+        tick: lookups must not grow the table, and grid points (served
+        from the grid map) and off-grid points (interpolated) must both
+        equal the interpolation formula to the bit."""
+        before = copy.deepcopy(vars(table))
+        for point in table:
+            f = point.frequency_mhz
+            assert table.voltage_for_frequency(f).hex() == (
+                interpolate(table, f).hex()
+            )
+            assert table.voltage_for_frequency(f).hex() == (
+                point.voltage_v.hex()
+            )
+        rng = random.Random(11)
+        lo, hi = table.min_frequency_mhz, table.max_frequency_mhz
+        for _ in range(10_000):
+            f = rng.uniform(lo - 100.0, hi + 100.0)
+            assert table.voltage_for_frequency(f).hex() == (
+                interpolate(table, f).hex()
+            )
+        assert vars(table) == before
+
+
+def interpolate(table: PStateTable, frequency_mhz: float) -> float:
+    """The V/f interpolation formula alone, with no lookup in front."""
+    points = list(table)
+    freqs = table.frequencies_mhz
+    if frequency_mhz <= freqs[0]:
+        return points[0].voltage_v
+    if frequency_mhz >= freqs[-1]:
+        return points[-1].voltage_v
+    pos = bisect.bisect_right(freqs, frequency_mhz)
+    lo, hi = points[pos - 1], points[pos]
+    frac = (frequency_mhz - lo.frequency_mhz) / (
+        hi.frequency_mhz - lo.frequency_mhz
+    )
+    return lo.voltage_v + frac * (hi.voltage_v - lo.voltage_v)
 
 
 class TestAcpiIndex:
