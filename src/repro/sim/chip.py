@@ -100,9 +100,13 @@ class Chip:
         self.dirty_caching = True
         self._dirty = True
         #: bumped on every P-state view refresh; the array engine keys
-        #: its cached static rows on it, so a refresh triggered by the
+        #: its cached frequency rows on it, so a refresh triggered by the
         #: scalar path (which consumes ``_dirty``) still invalidates them
         self._view_generation = 0
+        #: bumped when a core's load or parked flag changes (never by a
+        #: P-state request); the array engine keys its cached placement
+        #: rows on it
+        self._placement_generation = 0
         self._base_effective_mhz = [0.0] * n
         self._prev_sample_done = [False] * n
         self._register_msrs()
@@ -173,6 +177,7 @@ class Chip:
         self.platform.validate_core(core_id)
         self.cores[core_id].assign(load)
         self._dirty = True
+        self._placement_generation += 1
 
     def park(self, core_id: int, parked: bool = True) -> None:
         """Force a core into (or out of) deep idle (C6)."""
@@ -181,6 +186,7 @@ class Chip:
         if core.parked != parked:
             core.parked = parked
             self._dirty = True
+            self._placement_generation += 1
 
     def attach_cluster(self, cluster: WebsearchCluster) -> None:
         for core_id in cluster.core_ids:

@@ -37,13 +37,26 @@ to the scalar reference.  That holds because
   ``Chip.tick`` on local floats.  Only ``dirty_caching=False`` reference
   chips step through ``Chip.advance_ticks`` itself.
 
-Gathering is two-tier.  Rows derived from the resolved P-state view and
-the load placement (:class:`_ChipStatic`) are cached on the chip and
-rebuilt only when the chip is dirty — every mutation that can change
-them (``set_requested_frequency``, ``park``, ``assign_load``, a ``done``
-flip) marks the chip dirty.  The one mutation that does *not* is an app
-externally marked finished (crash faults); that is why the ``running``
-mask is re-read every batch.
+Gathering runs at three cadences:
+
+* **placement rows** (:class:`_Placement`) — load parameters, parked
+  masks, the idle-variant roofline and voltage, budgets, phase keys and
+  residency increments — are cached on the chip and keyed on
+  ``Chip._placement_generation``, which only ``assign_load`` and a
+  ``park`` that flips the flag bump;
+* **frequency rows** — the running-variant roofline, voltage, f_GHz and
+  APERF increments, and each chip's fastest unparked base frequency —
+  follow the resolved P-state view, which the daemon moves every period
+  while placement stays put.  :class:`_Stacked` computes them for a
+  whole stacked group in one vector pass, keyed on the chips' view
+  *generations* (not on who cleared the dirty flag: a refresh run by
+  the fused loop, which consumes ``_dirty``, must still invalidate
+  them), and re-concatenates the group's placement rows only when a
+  placement serial changes;
+* **live state** (:class:`ChipArrayState`) is re-read every batch: the
+  ``running`` mask, which folds in ``app.finished`` (the one mutation
+  that arrives from outside the chip, e.g. crash faults), accumulator
+  seeds and the RAPL control state.
 """
 
 from __future__ import annotations
@@ -85,6 +98,13 @@ RAPL_SCALAR_TICKS = 32
 #: Set at the measured crossover: the two cost the same at about 28
 #: limited chips over a 200-tick batch (2-vCPU Xeon, numpy 2.4).
 RAPL_GANG_MIN_CHIPS = 32
+#: groups with fewer lanes than this fold their sums with one in-place
+#: ``np.add.accumulate`` over a stacked ``(sums, ticks + 1)`` matrix,
+#: wider ones tick by tick in place (:func:`_fold`).  The stacked copy
+#: costs per element and the tick loop per numpy call; they cost the
+#: same at about 64 lanes for 8- to 512-tick batches (2-vCPU Xeon,
+#: numpy 2.4).
+STACKED_FOLD_MAX_LANES = 64
 
 #: per-table cached grid arrays for the vectorized V/f interpolation
 #: (PStateTable is an immutable value type with content hashing).
@@ -94,7 +114,7 @@ _GRID_CACHE: dict["PStateTable", tuple["np.ndarray", "np.ndarray"]] = {}
 #: all reference one instance (consumers compare fields, not identity).
 _IDLE_SAMPLE = LoadSample(0.0, 0.0, 0.0, done=True)
 
-_STATIC_SERIAL = itertools.count()
+_PLACEMENT_SERIAL = itertools.count()
 
 #: a column's phase key (chip start time, period, offset, IPC and power
 #: amplitudes) as one opaque 40-byte value, so keys dedupe bit for bit.
@@ -135,34 +155,31 @@ def chip_supports_array(chip: "Chip") -> bool:
     return True
 
 
-class _ChipStatic:
-    """Gather rows valid until the chip next re-resolves its P-state view.
+class _Placement:
+    """One chip's gather rows that only its load placement changes.
 
-    Everything here is a pure function of the resolved base frequencies,
-    the load placement, and the platform constants.  Rows come in
-    *running* and *idle* variants (the scalar loop evaluates the same
-    elementwise formulas at ``eff = base`` for busy lanes and
-    ``eff = reference`` for idle/parked lanes); the per-batch step
-    selects between them with the live ``running`` mask, which keeps the
-    precomputation bit-identical to evaluating on the masked frequency
-    row directly.
+    Everything here is a pure function of which load sits on which core,
+    which cores are parked, and the platform constants.  Rows derived
+    from the resolved frequency come in a *running* and an *idle*
+    variant (the scalar loop evaluates the same elementwise formulas at
+    ``eff = base`` for busy lanes and ``eff = reference`` for idle and
+    parked lanes); the idle variants live here, the running ones in
+    :class:`_Stacked`, and the per-batch step selects between them with
+    the live ``running`` mask, which keeps the precomputation
+    bit-identical to evaluating on the masked frequency row directly.
     """
 
     def __init__(self, chip: "Chip"):
-        self.serial = next(_STATIC_SERIAL)
-        self.view_generation = chip._view_generation
+        self.serial = next(_PLACEMENT_SERIAL)
+        self.generation = chip._placement_generation
         platform = chip.platform
         power = platform.power
         dt = chip.tick_s
-        self.grid_f, self.grid_v = _grid_arrays(platform.pstates)
-        base = list(chip._base_effective_mhz)
-        # parked cores carry base 0.0, so this is the fastest *unparked*
-        # base frequency: the threshold below which the RAPL cap clips
-        self.base_max = max(base) if base else 0.0
-        self.base_list = base
+        self.pstates = platform.pstates
+        grid_f, grid_v = _grid_arrays(platform.pstates)
         self.n = len(chip.cores)
         self.uncore = power.uncore_watts
-        self.wake_eff = max(0.0, 1.0 - EXIT_LATENCY_S[CState.C6] / dt)
+        wake_eff = max(0.0, 1.0 - EXIT_LATENCY_S[CState.C6] / dt)
 
         parked: list[bool] = []
         loads: list[BatchCoreLoad | None] = []
@@ -214,34 +231,24 @@ class _ChipStatic:
         self.has_budget = any(not math.isinf(b) for b in budget)
 
         n = self.n
-        base_row = np.asarray(base, dtype=np.float64)
         ref_row = np.asarray(ref, dtype=np.float64)
         mem_row = np.asarray(mem, dtype=np.float64)
         ipc_row = np.asarray(base_ipc, dtype=np.float64)
         stall_row = np.asarray(stall, dtype=np.float64)
-        # running lanes always have base > 0 (parked lanes are the only
-        # zero entries); guard the precomputed running view against the
-        # division anyway — those lanes are masked out of every use
-        eff_run = np.where(base_row > 0.0, base_row, ref_row)
-        rate_run, factor_run = kernel.roofline_rows(
-            eff_run, ref_row, mem_row, ipc_row, stall_row
-        )
         rate_idle, factor_idle = kernel.roofline_rows(
             ref_row, ref_row, mem_row, ipc_row, stall_row
         )
+        parked_row = np.asarray(parked, dtype=bool)
         tsc_scaled = (chip._tsc_mhz * 1e6) * dt
         self.rows: dict[str, "np.ndarray"] = {
-            "base_row": base_row,
             "ref_row": ref_row,
-            "rate_run": rate_run,
+            "mem_row": mem_row,
+            "ipc_row": ipc_row,
+            "stall_row": stall_row,
             "rate_idle": rate_idle,
-            "factor_run": factor_run,
             "factor_idle": factor_idle,
-            "volt_run": kernel.voltage_rows(eff_run, self.grid_f, self.grid_v),
-            "volt_idle": kernel.voltage_rows(ref_row, self.grid_f, self.grid_v),
-            "fghz_run": base_row / 1000.0,
+            "volt_idle": kernel.voltage_rows(ref_row, grid_f, grid_v),
             "fghz_idle": ref_row / 1000.0,
-            "aperf_run": (base_row * 1e6) * dt,
             "mperf_run": np.full(n, tsc_scaled, dtype=np.float64),
             "ceff_row": np.asarray(ceff, dtype=np.float64),
             "period_row": np.asarray(period, dtype=np.float64),
@@ -252,39 +259,123 @@ class _ChipStatic:
             "scale_row": np.full(n, power.c_eff_scale, dtype=np.float64),
             "leak_row": np.full(n, power.leak_coeff_w_per_v, dtype=np.float64),
             "idle_row": np.full(n, power.idle_core_watts, dtype=np.float64),
-            "wake_row": np.full(n, self.wake_eff, dtype=np.float64),
-            "c1_idle": np.where(np.asarray(parked, dtype=bool), 0.0, dt),
-            "c6_inc": np.where(np.asarray(parked, dtype=bool), dt, 0.0),
+            "wake_row": np.full(n, wake_eff, dtype=np.float64),
+            "c1_idle": np.where(parked_row, 0.0, dt),
+            "c6_inc": np.where(parked_row, dt, 0.0),
             # each core's position within its chip (package-sum layout)
             "core_row": np.arange(n),
         }
+        #: this chip's group when it is stepped alone (built on first use)
+        self.solo: _Stacked | None = None
+
+
+class _Stacked:
+    """The gather rows of one group of chips stacked along the core axis.
+
+    Built once per list of placement serials: the chips' placement rows
+    concatenated (a group of one uses its chip's rows as they are) plus
+    the layout every batch of the group shares.  The frequency rows are
+    refreshed by :meth:`refresh` whenever any chip's view generation
+    moves — in a lockstep cluster once per daemon period, however many
+    batches the period takes.
+    """
+
+    def __init__(self, placements: list[_Placement], key: tuple[int, ...]):
+        self.key = key
+        sizes = [p.n for p in placements]
+        if len(placements) == 1:
+            self.rows = placements[0].rows
+        else:
+            self.rows = {
+                name: np.concatenate([p.rows[name] for p in placements])
+                for name in placements[0].rows
+            }
+        self.total = sum(sizes)
+        self.starts = list(itertools.accumulate(sizes, initial=0))[:-1]
+        self.chip_of = np.repeat(np.arange(len(placements)), sizes)
+        self.width = max(sizes)
+        self.slots = self.chip_of * self.width + self.rows["core_row"]
+        self.uncore = np.asarray(
+            [p.uncore for p in placements], dtype=np.float64
+        )
+        # V/f interpolation runs once per distinct grid (a gang may mix
+        # platforms), over that grid's lanes
+        members: dict["PStateTable", list[int]] = {}
+        for index, p in enumerate(placements):
+            members.setdefault(p.pstates, []).append(index)
+        self.grids = [
+            (
+                *_grid_arrays(table),
+                np.flatnonzero(np.isin(self.chip_of, chips)),
+            )
+            for table, chips in members.items()
+        ]
+        self.view: tuple[int, ...] | None = None
+        self.freq: dict[str, "np.ndarray"] = {}
+        #: each chip's fastest *unparked* base frequency (parked cores
+        #: carry base 0.0): the threshold below which its RAPL cap clips
+        self.base_max: list[float] = []
+
+    def refresh(self, states: list["ChipArrayState"]) -> None:
+        """Recompute the frequency rows if any chip's view has moved."""
+        view = tuple(st.chip._view_generation for st in states)
+        if view == self.view:
+            return
+        base = np.fromiter(
+            itertools.chain.from_iterable(
+                st.chip._base_effective_mhz for st in states
+            ),
+            dtype=np.float64,
+            count=self.total,
+        )
+        rows = self.rows
+        ref = rows["ref_row"]
+        # running lanes always have base > 0 (parked lanes are the only
+        # zero entries); guard the running view against the division
+        # anyway — those lanes are masked out of every use
+        eff = np.where(base > 0.0, base, ref)
+        rate, factor = kernel.roofline_rows(
+            eff, ref, rows["mem_row"], rows["ipc_row"], rows["stall_row"]
+        )
+        volt = np.empty_like(eff)
+        for grid_f, grid_v, lanes in self.grids:
+            volt[lanes] = kernel.voltage_rows(eff[lanes], grid_f, grid_v)
+        self.freq = {
+            "rate_run": rate,
+            "factor_run": factor,
+            "volt_run": volt,
+            "fghz_run": base / 1000.0,
+            "aperf_run": (base * 1e6) * states[0].dt,
+        }
+        self.base_max = np.maximum.reduceat(base, self.starts).tolist()
+        self.view = view
 
 
 class ChipArrayState:
-    """One chip's per-batch gather: cached static rows + live masks.
+    """One chip's per-batch gather: cached placement rows + live masks.
 
     Built at the start of every batch; the constructor performs the same
     lazy P-state refresh the scalar tick would (so a pending dirty flag
     resolves identically, including raising on invalid simultaneous
-    P-state requests).  Static rows are keyed on the chip's view
-    *generation*, not on who cleared the dirty flag: a refresh run by
-    the fused loop in between batches (which consumes ``_dirty``) must
-    still invalidate rows gathered from the older view.
+    P-state requests).
     """
 
     def __init__(self, chip: "Chip"):
         if chip._dirty or not chip.dirty_caching:
             chip._refresh_pstate_view()
-        static = chip.__dict__.get("_soa_static")
-        if static is None or static.view_generation != chip._view_generation:
-            static = _ChipStatic(chip)
-            chip._soa_static = static
+        placement = chip.__dict__.get("_soa_placement")
+        if (
+            placement is None
+            or placement.generation != chip._placement_generation
+        ):
+            placement = _Placement(chip)
+            chip._soa_placement = placement
         self.chip = chip
-        self.static = static
+        self.placement = placement
         self.dt = chip.tick_s
         self.t0 = chip.time_s
 
-        loads = static.loads
+        loads = placement.loads
         running: list[bool] = []
         retired0: list[float] = []
         elapsed0: list[float] = []
@@ -354,27 +445,30 @@ def _advance_group(chips: list["Chip"], n_ticks: int) -> None:
         remaining -= committed
 
 
-#: last stacked static-row set, keyed by the group's static serials, so
-#: lockstep cluster batches don't re-concatenate unchanged rows.
-_GROUP_KEY: tuple[int, ...] | None = None
-_GROUP_ROWS: dict[str, "np.ndarray"] | None = None
+#: the last gang's stacked rows, so lockstep cluster batches rebuild
+#: them only when a chip's placement changes (a chip stepped alone keeps
+#: its own, :attr:`_Placement.solo`).
+_GROUP: _Stacked | None = None
 
 
-def _group_rows(states: list[ChipArrayState]) -> dict[str, "np.ndarray"]:
-    global _GROUP_KEY, _GROUP_ROWS
+def _group_rows(states: list[ChipArrayState]) -> _Stacked:
+    """The batch's stacked rows, with frequency rows for the live view."""
+    global _GROUP
     if len(states) == 1:
-        return states[0].static.rows
-    key = tuple(st.static.serial for st in states)
-    if key != _GROUP_KEY or _GROUP_ROWS is None:
-        statics = [st.static for st in states]
-        # repro-lint: disable=shared-state-race — per-process memo keyed by static serials; each worker rebuilds identical rows from its own chips
-        _GROUP_ROWS = {
-            name: np.concatenate([s.rows[name] for s in statics])
-            for name in statics[0].rows
-        }
-        # repro-lint: disable=shared-state-race — cache key for the row memo above; same per-process recomputation argument
-        _GROUP_KEY = key
-    return _GROUP_ROWS
+        placement = states[0].placement
+        group = placement.solo
+        if group is None:
+            group = _Stacked([placement], (placement.serial,))
+            placement.solo = group
+    else:
+        key = tuple(st.placement.serial for st in states)
+        group = _GROUP
+        if group is None or group.key != key:
+            group = _Stacked([st.placement for st in states], key)
+            # repro-lint: disable=shared-state-race — per-process memo keyed by placement serials and refreshed on view generations; each worker rebuilds identical rows from its own chips, and nothing reads it across processes
+            _GROUP = group
+    group.refresh(states)
+    return group
 
 
 def _stack_dyn(arrays: list["np.ndarray"]) -> "np.ndarray":
@@ -504,50 +598,85 @@ def _replay_rapl_gang(
     return observed, avg_hist, cap_hist
 
 
-def _fold(seed: "np.ndarray", incs: "np.ndarray") -> "np.ndarray":
-    """``seed`` with every row of ``incs`` added in row (tick) order.
+def _fold(
+    acc: "np.ndarray",
+    cand: "np.ndarray",
+    inst_rows: dict[int, "np.ndarray"],
+    energy: "np.ndarray",
+    pkg_energy: "np.ndarray",
+    fixed_inc: "np.ndarray",
+) -> "np.ndarray":
+    """The seeded sums ``acc`` after every committed tick, in tick order.
 
-    Each column is one chained ``x += inc``, bit-identical to the scalar
-    loop whichever way it is iterated, so the fold runs along the
-    shorter axis: a tick-ordered in-place ``acc += row`` when there are
-    more columns than ticks (a stacked gang), one sequential
-    ``np.add.accumulate`` per column otherwise (a single chip).  Either
-    way numpy is entered ``min(ticks, columns)`` times.
+    ``acc`` is laid out MSR instructions | Core instruction totals |
+    RAPL per-core energy | Core energy totals | app retired work | the
+    eight fixed-increment sums | package energy, ``t`` lanes per block
+    (``8·t`` for the fixed sums, one per chip for package energy).
+    Tick ``k`` of the ``len(energy)`` committed ones adds
+    ``inst_rows.get(k, cand[k])`` to both instruction blocks,
+    ``energy[k]`` to both energy blocks, ``cand[k]`` to retired work,
+    ``fixed_inc`` to the fixed sums and ``pkg_energy[k]`` to package
+    energy.
+
+    Each element is one chained ``x += inc``, bit-identical to the
+    scalar loop whichever way it is iterated.  A group narrower than
+    :data:`STACKED_FOLD_MAX_LANES` (a single chip, a small cluster)
+    copies the increments into a stacked ``(sums, ticks + 1)`` matrix
+    and runs one sequential ``np.add.accumulate`` along it in place,
+    entering numpy a fixed number of times whatever the window.  A
+    wider gang folds in place, tick by tick, straight from the
+    matrices, and never builds a ``(ticks × sums)`` increment matrix.
+    ``acc`` may be updated in place.
     """
-    ticks, width = incs.shape
-    if width < ticks:
-        stacked = np.empty((width, ticks + 1), dtype=np.float64)
-        stacked[:, 0] = seed
-        stacked[:, 1:] = incs.T
-        return np.add.accumulate(stacked, axis=1)[:, -1]
-    acc = seed.copy()
-    for row in incs:
-        acc += row
+    commit, t = energy.shape
+    if t < STACKED_FOLD_MAX_LANES:
+        stacked = np.empty((acc.size, commit + 1), dtype=np.float64)
+        stacked[:, 0] = acc
+        incs = stacked[:, 1:]
+        incs[0:t] = cand[:commit].T
+        for k, row in inst_rows.items():
+            incs[0:t, k] = row
+        incs[t : 2 * t] = incs[0:t]
+        incs[2 * t : 3 * t] = energy.T
+        incs[3 * t : 4 * t] = incs[2 * t : 3 * t]
+        incs[4 * t : 5 * t] = cand[:commit].T
+        incs[5 * t : 13 * t] = fixed_inc[:, None]
+        incs[13 * t :] = pkg_energy.T
+        return np.add.accumulate(stacked, axis=1, out=stacked)[:, -1]
+    # the instruction and energy blocks are (2, lanes) views, one row
+    # per seed side
+    instr = acc[0 : 2 * t].reshape(2, t)
+    core_e = acc[2 * t : 4 * t].reshape(2, t)
+    retired = acc[4 * t : 5 * t]
+    fixed = acc[5 * t : 13 * t]
+    pkg_e = acc[13 * t :]
+    for k in range(commit):
+        instr += inst_rows.get(k, cand[k])
+        core_e += energy[k]
+        retired += cand[k]
+        fixed += fixed_inc
+        pkg_e += pkg_energy[k]
     return acc
 
 
 def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
     """Step every gathered chip up to ``n_ticks``; returns ticks committed.
 
-    Returns 0 (committing nothing, building nothing) only when a RAPL
-    cap already clips the very first tick — the caller then takes the
-    fused loop.
+    Returns 0 (committing nothing, building no tick matrix) only when a
+    RAPL cap already clips the very first tick — the caller then takes
+    the fused loop.
     """
-    for state in states:
+    group = _group_rows(states)
+    for state, top in zip(states, group.base_max):
         limiter = state.chip.rapl
-        if limiter is not None and limiter.cap_mhz < state.static.base_max:
+        if limiter is not None and limiter.cap_mhz < top:
             return 0
     dt = states[0].dt
-    sizes = [state.static.n for state in states]
-    total = sum(sizes)
+    total = group.total
     n_chips = len(states)
-    slices: list[slice] = []
-    start = 0
-    for size in sizes:
-        slices.append(slice(start, start + size))
-        start += size
-    chip_of = np.repeat(np.arange(n_chips), sizes)
-    rows = _group_rows(states)
+    chip_of = group.chip_of
+    rows = group.rows
+    freq = group.freq
 
     running = _stack_dyn([st.running_arr for st in states])
     prev_done = _stack_dyn(
@@ -556,9 +685,9 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
             for st in states
         ]
     )
-    rate0 = np.where(running, rows["rate_run"], rows["rate_idle"])
-    factor = np.where(running, rows["factor_run"], rows["factor_idle"])
-    any_budget = any(st.static.has_budget for st in states)
+    rate0 = np.where(running, freq["rate_run"], rows["rate_idle"])
+    factor = np.where(running, freq["factor_run"], rows["factor_idle"])
+    any_budget = any(st.placement.has_budget for st in states)
 
     # event split, part 1: without instruction budgets the only split
     # trigger is a `done` flip at tick 0 (fresh assignment, external
@@ -625,8 +754,8 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
 
     # power matrix over the candidate window, and every chip's package
     # power from one zero-padded sequential fold
-    volt = np.where(running, rows["volt_run"], rows["volt_idle"])
-    fghz = np.where(running, rows["fghz_run"], rows["fghz_idle"])
+    volt = np.where(running, freq["volt_run"], rows["volt_idle"])
+    fghz = np.where(running, freq["fghz_run"], rows["fghz_idle"])
     ceff_t = (rows["ceff_row"] * factor) * pow_u[:length, inverse]
     power = kernel.power_rows(
         ceff_t,
@@ -637,24 +766,25 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
         rows["idle_row"],
         running,
     )
-    width = max(sizes)
-    slots = chip_of * width + rows["core_row"]
-    uncore = np.asarray([st.static.uncore for st in states], dtype=np.float64)
-    pkg = kernel.package_rows(power, slots, n_chips, width, uncore)
+    pkg = kernel.package_rows(
+        power, group.slots, n_chips, group.width, group.uncore
+    )
 
     # RAPL: replay the EWMA/cap recurrence; a tick is only valid while
     # the cap clears the fastest unparked base frequency (otherwise
     # clip() would have altered effective MHz and every candidate
     # matrix after it).  The early return above guarantees tick 0 is.
     limited = [i for i, st in enumerate(states) if st.chip.rapl is not None]
+    base_max = group.base_max
     commit = length
     if len(limited) >= RAPL_GANG_MIN_CHIPS:
         limiters = [states[i].chip.rapl for i in limited]
-        base_max = np.asarray(
-            [states[i].static.base_max for i in limited], dtype=np.float64
-        )
         commit, avg_hist, cap_hist = _replay_rapl_gang(
-            limiters, pkg[:, limited], dt, base_max, length
+            limiters,
+            pkg[:, limited],
+            dt,
+            np.asarray([base_max[i] for i in limited], dtype=np.float64),
+            length,
         )
         avg = avg_hist[commit].tolist()
         cap = cap_hist[commit].tolist()
@@ -666,8 +796,7 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
         replays: list[tuple[int, int, tuple[float, float, bool]]] = []
         for i in limited:
             observed, final = _replay_rapl(
-                states[i].chip.rapl, pkg_cols[i], dt,
-                states[i].static.base_max, length,
+                states[i].chip.rapl, pkg_cols[i], dt, base_max[i], length
             )
             replays.append((i, observed, final))
             commit = min(commit, observed)
@@ -677,23 +806,16 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
                 # a shorter global prefix committed: re-derive the
                 # control state after exactly the committed ticks
                 _, final = _replay_rapl(
-                    limiter, pkg_cols[i], dt, states[i].static.base_max,
-                    commit,
+                    limiter, pkg_cols[i], dt, base_max[i], commit
                 )
             limiter.restore_control_state(final)
 
-    # the fold's per-tick increments, one column per accumulator whose
-    # increment changes by tick: MSR instructions | RAPL per-core energy
-    # | app retired work | package energy | Core instruction totals |
-    # Core energy totals (the MSR-side and Core-side blocks take the
-    # same increments from different seeds)
-    t, c = total, n_chips
-    incs = np.empty((commit, 5 * t + c), dtype=np.float64)
-    # instruction view the counters see: the finishing tick is clamped
-    # to the app's remaining budget, then (order matters) the first tick
-    # after a C6 exit is discounted by the wake-up efficiency
-    inst = incs[:, 0:t]
-    inst[...] = cand[:commit]
+    # the instruction view the counters see is the candidate work except
+    # on two ticks: the finishing tick is clamped to the app's remaining
+    # budget, then (order matters) the first tick after a C6 exit is
+    # discounted by the wake-up efficiency
+    t = total
+    inst_rows: dict[int, "np.ndarray"] = {}
     if first_hit is not None:
         finisher = running & (first_hit == commit - 1)
         any_finish = bool(finisher.any())
@@ -702,7 +824,7 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
         any_finish = False
     if any_finish:
         clamped = np.maximum(budget_row - r_acc[commit - 1], 0.0)
-        inst[commit - 1] = np.where(finisher, clamped, inst[commit - 1])
+        inst_rows[commit - 1] = np.where(finisher, clamped, cand[commit - 1])
     wake_needed = any(
         c6 and run
         for st in states
@@ -715,55 +837,56 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
             )
             & running
         )
-        inst[0] = np.where(
-            wake & (inst[0] > 0.0), inst[0] * rows["wake_row"], inst[0]
+        first = inst_rows.get(0, cand[0])
+        inst_rows[0] = np.where(
+            wake & (first > 0.0), first * rows["wake_row"], first
         )
-    np.multiply(power[:commit], dt, out=incs[:, t : 2 * t])
-    incs[:, 2 * t : 3 * t] = cand[:commit]
-    np.multiply(pkg[:commit], dt, out=incs[:, 3 * t : 3 * t + c])
-    incs[:, 3 * t + c : 4 * t + c] = inst
-    incs[:, 4 * t + c :] = incs[:, t : 2 * t]
+    inst_last = inst_rows.get(commit - 1, cand[commit - 1]).tolist()
+    power_last = power[commit - 1].tolist()
+    pkg_last = pkg[commit - 1].tolist()
+    # per-core and package energy increments: the power rows scaled by
+    # the tick in place (the same `power * dt` product)
+    energy = power[:commit]
+    energy *= dt
+    pkg_energy = pkg[:commit] * dt
 
-    # seeded running sums: `acc` is seeded like `incs` is laid out, and
-    # `fixed` holds the eight accumulators whose increment is the same
-    # every tick, folded from one broadcast row
+    # seeded running sums, laid out as `_fold` takes them (the MSR-side
+    # and Core-side blocks take the same increments from different
+    # seeds; the eight fixed sums take the same increment every tick)
     seeds: list[float] = []
     for st in states:
         seeds.extend(st.chip._instr_total)
     for st in states:
-        seeds.extend(st.chip.energy._core_energy_j)
-    for st in states:
-        seeds.extend(st.retired0)
-    seeds.extend(st.chip.energy._pkg_energy_j for st in states)
-    for st in states:
         seeds.extend(core.total_instructions for core in st.chip.cores)
     for st in states:
+        seeds.extend(st.chip.energy._core_energy_j)
+    for st in states:
         seeds.extend(core.total_energy_j for core in st.chip.cores)
-    acc = np.asarray(seeds, dtype=np.float64)
-    fixed_seeds: list[float] = []
     for st in states:
-        fixed_seeds.extend(core.total_busy_s for core in st.chip.cores)
+        seeds.extend(st.retired0)
     for st in states:
-        fixed_seeds.extend(core.total_time_s for core in st.chip.cores)
+        seeds.extend(core.total_busy_s for core in st.chip.cores)
     for st in states:
-        fixed_seeds.extend(st.chip._aperf_cycles)
+        seeds.extend(core.total_time_s for core in st.chip.cores)
     for st in states:
-        fixed_seeds.extend(st.chip._mperf_cycles)
+        seeds.extend(st.chip._aperf_cycles)
     for st in states:
-        fixed_seeds.extend(r.c0_s for r in st.chip.cstates._cores)
+        seeds.extend(st.chip._mperf_cycles)
     for st in states:
-        fixed_seeds.extend(r.c1_s for r in st.chip.cstates._cores)
+        seeds.extend(r.c0_s for r in st.chip.cstates._cores)
     for st in states:
-        fixed_seeds.extend(r.c6_s for r in st.chip.cstates._cores)
+        seeds.extend(r.c1_s for r in st.chip.cstates._cores)
     for st in states:
-        fixed_seeds.extend(st.elapsed0)
-    fixed = np.asarray(fixed_seeds, dtype=np.float64)
+        seeds.extend(r.c6_s for r in st.chip.cstates._cores)
+    for st in states:
+        seeds.extend(st.elapsed0)
+    seeds.extend(st.chip.energy._pkg_energy_j for st in states)
     dt_running = np.where(running, dt, 0.0)
     fixed_inc = np.concatenate(
         (
             dt_running,                                   # busy seconds
             np.full(t, dt, dtype=np.float64),             # wall seconds
-            np.where(running, rows["aperf_run"], 0.0),
+            np.where(running, freq["aperf_run"], 0.0),
             np.where(running, rows["mperf_run"], 0.0),
             dt_running,                                   # C0 residency
             np.where(running, 0.0, rows["c1_idle"]),
@@ -771,30 +894,34 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
             dt_running,                                   # app elapsed_s
         )
     )
-    acc = _fold(acc, incs)
+    acc = _fold(
+        np.asarray(seeds, dtype=np.float64),
+        cand,
+        inst_rows,
+        energy,
+        pkg_energy,
+        fixed_inc,
+    )
     finals = acc.tolist()
-    fixed_f = _fold(
-        fixed, np.broadcast_to(fixed_inc, (commit, fixed_inc.size))
-    ).tolist()
     i_f = finals[0:t]
-    e_f = finals[t : 2 * t]
-    pkg_e_f = finals[3 * t : 3 * t + c]
-    ti_f = finals[3 * t + c : 4 * t + c]
-    te_f = finals[4 * t + c :]
-    b_f = fixed_f[0:t]
-    tt_f = fixed_f[t : 2 * t]
-    a_f = fixed_f[2 * t : 3 * t]
-    m_f = fixed_f[3 * t : 4 * t]
-    c0_f = fixed_f[4 * t : 5 * t]
-    c1_f = fixed_f[5 * t : 6 * t]
-    c6_f = fixed_f[6 * t : 7 * t]
-    el_f = fixed_f[7 * t : 8 * t]
+    ti_f = finals[t : 2 * t]
+    e_f = finals[2 * t : 3 * t]
+    te_f = finals[3 * t : 4 * t]
+    b_f = finals[5 * t : 6 * t]
+    tt_f = finals[6 * t : 7 * t]
+    a_f = finals[7 * t : 8 * t]
+    m_f = finals[8 * t : 9 * t]
+    c0_f = finals[9 * t : 10 * t]
+    c1_f = finals[10 * t : 11 * t]
+    c6_f = finals[11 * t : 12 * t]
+    el_f = finals[12 * t : 13 * t]
+    pkg_e_f = finals[13 * t :]
     if any_finish:
         r_f = np.where(
-            finisher, r_acc[commit - 1] + clamped, acc[2 * t : 3 * t]
+            finisher, r_acc[commit - 1] + clamped, acc[4 * t : 5 * t]
         ).tolist()
     else:
-        r_f = finals[2 * t : 3 * t]
+        r_f = finals[4 * t : 5 * t]
 
     if finisher is not None:
         done_last = np.where(running, finisher, True)
@@ -814,26 +941,23 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
     # commit: scatter the final values back into the object graph (the
     # tolist() extractions above yield plain Python floats and bools —
     # np.float64 must never leak into state)
-    inst_last = inst[commit - 1].tolist()
     ceff_last = ceff_t[commit - 1].tolist()
-    power_last = power[commit - 1].tolist()
-    pkg_last = pkg[commit - 1].tolist()
     time_final = t_series[commit].tolist()
     factor_list = factor.tolist()
-    for idx, (state, cols) in enumerate(zip(states, slices)):
+    for idx, (state, start) in enumerate(zip(states, group.starts)):
         chip = state.chip
-        static = state.static
-        base_list = static.base_list
-        loads = static.loads
-        parked = static.parked
+        placement = state.placement
+        # the view resolved at gather time; nothing refreshes it mid-batch
+        base_list = chip._base_effective_mhz
+        loads = placement.loads
+        parked = placement.parked
         is_running = state.running
         aperf = chip._aperf_cycles
         mperf = chip._mperf_cycles
-        instr = chip._instr_total
+        instr_total = chip._instr_total
         prev = chip._prev_sample_done
         core_energy = chip.energy._core_energy_j
         residencies = chip.cstates._cores
-        start = cols.start
         dirty = False
         for local, core in enumerate(chip.cores):
             g = start + local
@@ -868,7 +992,7 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
             core.total_time_s = tt_f[g]
             aperf[cpu] = a_f[g]
             mperf[cpu] = m_f[g]
-            instr[cpu] = i_f[g]
+            instr_total[cpu] = i_f[g]
             core_energy[cpu] = e_f[g]
             residency = residencies[cpu]
             residency.c0_s = c0_f[g]
@@ -880,7 +1004,7 @@ def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
             prev[cpu] = done_list[g]
             if flip_list is not None and flip_list[g]:
                 dirty = True
-        chip.last_core_powers_w = power_last[cols]
+        chip.last_core_powers_w = power_last[start : start + placement.n]
         chip.last_package_power_w = pkg_last[idx]
         chip.energy._pkg_energy_j = pkg_e_f[idx]
         chip.time_s = time_final[idx]

@@ -14,19 +14,22 @@ The same property is asserted one level up through
 :class:`~repro.sim.engine.SimEngine`, where callback deadlines carve
 the run into batches, and across a gang wide enough to take the
 gang-wide RAPL replay: mixed Skylake and Ryzen chips with staggered
-start times and their own limits, stepped as one stacked batch.
+start times and their own limits, stepped as one stacked batch, with
+P-state retargets, park toggles and load reassignments landing on
+single members between runs (each moves a different tier of the
+cached gather rows).
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw.platform import ryzen_1700x, skylake_xeon_4114
 from repro.sim import soa
 from repro.sim.chip import Chip
-from repro.sim.core import BatchCoreLoad
+from repro.sim.core import BatchCoreLoad, IdleLoad
 from repro.sim.engine import SimEngine
 from repro.workloads.app import RunningApp
 from repro.workloads.spec import spec_app
@@ -68,16 +71,19 @@ placements = st.dictionaries(
 )
 
 
+def batch_load(platform, core_id, name, budget) -> BatchCoreLoad:
+    model = spec_app(name, steady=budget is None)
+    if budget is not None:
+        model = model.with_instructions(budget)
+    return BatchCoreLoad(
+        RunningApp(model, instance=core_id), platform.reference_frequency_mhz
+    )
+
+
 def build_chip(placement, platform=SKYLAKE) -> Chip:
     chip = Chip(platform, tick_s=5e-3)
-    ref = platform.reference_frequency_mhz
     for core_id, (name, budget) in placement.items():
-        model = spec_app(name, steady=budget is None)
-        if budget is not None:
-            model = model.with_instructions(budget)
-        chip.assign_load(
-            core_id, BatchCoreLoad(RunningApp(model, instance=core_id), ref)
-        )
+        chip.assign_load(core_id, batch_load(platform, core_id, name, budget))
     return chip
 
 
@@ -195,6 +201,72 @@ def build_gang(skylake_members, ryzen_members) -> list[Chip]:
     return chips
 
 
+#: one op on one gang member between runs (the member index wraps
+#: around the gang): a P-state retarget, a park toggle, or a load
+#: reassignment (None places an idle load), on cores both platforms have.
+member_ops = st.tuples(
+    st.integers(0, 1000),
+    st.one_of(
+        st.tuples(st.just("freq"),
+                  st.integers(0, RYZEN.n_cores - 1),
+                  st.integers(0, 10)),
+        st.tuples(st.just("park"),
+                  st.integers(0, RYZEN.n_cores - 1),
+                  st.none()),
+        st.tuples(st.just("load"),
+                  st.integers(0, RYZEN.n_cores - 1),
+                  st.tuples(
+                      st.one_of(st.none(), st.sampled_from(BENCHMARKS)),
+                      st.one_of(st.none(),
+                                st.floats(min_value=1e8, max_value=4e9)),
+                  )),
+    ),
+)
+
+
+def apply_member_op(chip, op) -> None:
+    kind, core_id, arg = op
+    platform = chip.platform
+    if kind == "freq":
+        target = platform.pstates.frequencies_mhz[-1 - arg]
+        # Ryzen runs at most 3 distinct P-states at once, so a retarget
+        # there moves every core; Skylake cores move one at a time
+        if platform.simultaneous_pstates >= platform.n_cores:
+            chip.set_requested_frequency(core_id, target)
+        else:
+            for core in range(platform.n_cores):
+                chip.set_requested_frequency(core, target)
+    elif kind == "park":
+        chip.park(core_id, not chip.cores[core_id].parked)
+    else:
+        name, budget = arg
+        chip.assign_load(
+            core_id,
+            IdleLoad() if name is None
+            else batch_load(platform, core_id, name, budget),
+        )
+
+
+#: a gang that draws every op kind at least once, on Skylake and Ryzen
+#: members, whatever the search explores.
+EXAMPLE_SKYLAKE = [
+    ({0: ("leela", None), 1: ("gcc", 2.0e9), 2: ("omnetpp", None)},
+     i % 7, RAPL_LIMITS[i % len(RAPL_LIMITS)], 3)
+    for i in range(soa.RAPL_GANG_MIN_CHIPS + 2)
+]
+EXAMPLE_RYZEN = [
+    ({0: ("imagick", None), 3: ("cactusBSSN", 1.5e9)}, 4, None, 6)
+]
+EXAMPLE_STEPS = [
+    ([(0, ("freq", 1, 0)), (5, ("freq", 0, 5))], 40),
+    ([(1, ("park", 0, None)), (5, ("park", 3, None))], 60),
+    ([(2, ("load", 1, ("cactusBSSN", None))),
+      (5, ("load", 4, ("leela", 3e8))),
+      (3, ("load", 2, (None, None)))], 50),
+    ([(1, ("park", 0, None)), (2, ("freq", 2, 8))], 30),
+]
+
+
 @given(
     st.lists(
         gang_members,
@@ -202,17 +274,31 @@ def build_gang(skylake_members, ryzen_members) -> list[Chip]:
         max_size=soa.RAPL_GANG_MIN_CHIPS + 2,
     ),
     st.lists(gang_members, min_size=1, max_size=5),
-    st.lists(st.integers(soa.MIN_BATCH_TICKS, 200), min_size=1, max_size=3),
+    st.lists(
+        st.tuples(
+            st.lists(member_ops, max_size=4),
+            st.integers(soa.MIN_BATCH_TICKS, 200),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
 )
+@example(EXAMPLE_SKYLAKE, EXAMPLE_RYZEN, EXAMPLE_STEPS)
 @settings(max_examples=6, deadline=None)
-def test_wide_gang_is_bit_identical(skylake_members, ryzen_members, runs):
+def test_wide_gang_is_bit_identical(skylake_members, ryzen_members, steps):
     """A gang past the RAPL replay's width cut-over, stepped as one
-    stacked batch, matches every chip stepped alone by the scalar loop."""
+    stacked batch, matches every chip stepped alone by the scalar loop,
+    while drawn members are retargeted, parked and re-placed between
+    runs."""
     gang = build_gang(skylake_members, ryzen_members)
     solo = build_gang(skylake_members, ryzen_members)
     limited = sum(chip.rapl is not None for chip in gang)
     assert limited >= soa.RAPL_GANG_MIN_CHIPS
-    for n_ticks in runs:
+    for ops, n_ticks in steps:
+        for member, op in ops:
+            index = member % len(gang)
+            apply_member_op(gang[index], op)
+            apply_member_op(solo[index], op)
         soa.advance_chips(gang, n_ticks)
         for chip in solo:
             chip.advance_ticks(n_ticks)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -143,17 +144,44 @@ class TestKernels:
                 assert out[k + 1, col].hex() == acc.hex()
 
     def test_fold_matches_scalar_chain_along_either_axis(self):
-        """The commit fold iterates along the shorter axis; both ways
-        must equal one chained ``x += inc`` per column."""
-        seeds = [1.0, 2.0, 1e8]
-        incs = [[0.1, 1e8, 1e-9], [0.2, -3.0, 0.7], [0.4, 0.7, 0.1],
-                [1e-7, 0.3, 2.5], [0.3, 0.3, 0.3]]
-        for ticks in (len(incs), 2):  # more ticks than columns, fewer
-            out = soa._fold(np.asarray(seeds), np.asarray(incs[:ticks]))
-            for col, acc in enumerate(seeds):
-                for row in incs[:ticks]:
-                    acc += row[col]
-                assert out[col].hex() == acc.hex(), ticks
+        """The commit fold stacks narrow groups and folds wide gangs
+        tick by tick; both ways must equal one chained ``x += inc`` per
+        sum, in the layout ``_fold`` documents, with substituted
+        instruction rows."""
+        rng = random.Random(5)
+        chips = 2
+
+        def draw(n):
+            return [rng.choice([1e8, 1e-9, -3.0]) * rng.random()
+                    for _ in range(n)]
+
+        # a stacked group, then the narrowest gang folded in place
+        for lanes in (3, soa.STACKED_FOLD_MAX_LANES):
+            cand = [draw(lanes) for _ in range(5)]
+            energy = [draw(lanes) for _ in range(5)]
+            pkg_energy = [draw(chips) for _ in range(5)]
+            fixed_inc = draw(8 * lanes)
+            seeds = draw(13 * lanes + chips)
+            for ticks in (5, 2):
+                inst_rows = {0: draw(lanes), ticks - 1: draw(lanes)}
+                inst = [inst_rows.get(k, cand[k]) for k in range(ticks)]
+                per_tick = [
+                    inst[k] + inst[k] + energy[k] + energy[k] + cand[k]
+                    + fixed_inc + pkg_energy[k]
+                    for k in range(ticks)
+                ]
+                out = soa._fold(
+                    np.asarray(seeds),
+                    np.asarray(cand),
+                    {k: np.asarray(row) for k, row in inst_rows.items()},
+                    np.asarray(energy[:ticks]),
+                    np.asarray(pkg_energy[:ticks]),
+                    np.asarray(fixed_inc),
+                )
+                for col, acc in enumerate(seeds):
+                    for row in per_tick:
+                        acc += row[col]
+                    assert out[col].hex() == acc.hex(), (lanes, ticks, col)
 
     def test_package_rows_match_python_sum(self):
         """A gang's package powers come from one zero-padded fold; each
@@ -421,8 +449,8 @@ class TestArrayAdvance:
 
     def test_scalar_refresh_invalidates_cached_static_rows(self):
         """A scalar tick that consumes the dirty flag must not leave the
-        array path holding static rows gathered from the older P-state
-        view (found by the equivalence property suite)."""
+        array path holding frequency rows gathered from the older
+        P-state view (found by the equivalence property suite)."""
         chips = [batch_chip(), batch_chip()]
         for chip in chips:
             chip.set_requested_frequency(0, 800.0)
@@ -446,6 +474,72 @@ class TestArrayAdvance:
             chip.advance_ticks(400)
         for a, b in zip(solo, stacked):
             assert chip_fingerprint(a) == chip_fingerprint(b)
+
+
+class TestPlacementRows:
+    """Placement rows are rebuilt when a chip's placement changes and
+    only then: the daemon's P-state retargets refresh the gang's
+    frequency rows without touching them."""
+
+    PERIOD_TICKS = 60
+
+    def _count_builds(self, monkeypatch) -> list[Chip]:
+        built: list[Chip] = []
+
+        class Counting(soa._Placement):
+            def __init__(self, chip):
+                built.append(chip)
+                super().__init__(chip)
+
+        monkeypatch.setattr(soa, "_Placement", Counting)
+        return built
+
+    def _period(self, gang, solo, level):
+        for chips in (gang, solo):
+            for chip in chips:
+                top = chip.platform.pstates.frequencies_mhz[-1 - level]
+                for core in range(len(chip.cores)):
+                    chip.set_requested_frequency(core, top)
+        soa.advance_chips(gang, self.PERIOD_TICKS)
+        for chip in solo:
+            chip.advance_ticks(self.PERIOD_TICKS)
+        for alone, stacked in zip(solo, gang):
+            assert chip_fingerprint(alone) == chip_fingerprint(stacked)
+
+    def test_builds_follow_placement_not_pstates(self, monkeypatch):
+        built = self._count_builds(monkeypatch)
+        gang = [batch_chip(), batch_chip("ryzen"), batch_chip()]
+        solo = [batch_chip(), batch_chip("ryzen"), batch_chip()]
+        for level in (2, 5, 3, 8):
+            self._period(gang, solo, level)
+        assert sorted(map(id, built)) == sorted(map(id, gang))
+
+        # one reassignment rebuilds that chip's rows and no other's
+        built.clear()
+        for chip in (gang[1], solo[1]):
+            model = spec_app("gcc", steady=True)
+            chip.assign_load(
+                5,
+                BatchCoreLoad(
+                    RunningApp(model, instance=5),
+                    chip.platform.reference_frequency_mhz,
+                ),
+            )
+        self._period(gang, solo, 4)
+        assert built == [gang[1]]
+
+        # so does one park toggle; a park that changes nothing does not
+        built.clear()
+        for chip in (gang[2], solo[2]):
+            chip.park(0)
+            chip.park(1, False)
+        self._period(gang, solo, 6)
+        assert built == [gang[2]]
+
+        built.clear()
+        for level in (1, 7):
+            self._period(gang, solo, level)
+        assert built == []
 
 
 class TestEngineSelector:
