@@ -9,11 +9,15 @@ the batch entry point), and for the frequency-shares policy — the
 cluster default — one pass does for all of them what
 :meth:`PowerDaemon.iteration` does for one:
 
-1. **Telemetry.**  Every chip's just-flushed counters are read once;
-   per-core frequency, busy fraction and IPS plus package power come
-   out of ``(daemons × cores)`` arrays with :class:`CounterDelta`'s
-   operation order and the counters' wrap masks, and ``_validate``'s
-   checks run as array comparisons.
+1. **Telemetry.**  Every chip's counters come straight from the
+   lockstep window's arrays (:meth:`repro.sim.soa.Window.counters`),
+   converted as ``Chip.flush_counters`` converts them: cycles and
+   instructions truncated, energy rounded half to even in µJ and
+   wrapped at 2**32.  Per-core frequency, busy fraction and IPS plus
+   package power come out of ``(daemons × cores)`` arrays against each
+   daemon's baseline, with :class:`CounterDelta`'s operation order and
+   the counters' wrap masks, and ``_validate``'s checks run as array
+   comparisons.
 2. **Policy.**  The probe/backoff state machine runs per daemon
    (:meth:`FrequencySharesPolicy.step_pool`), then one refill bisection
    runs across every daemon that needs one.
@@ -21,35 +25,43 @@ cluster default — one pass does for all of them what
    ``np.searchsorted`` under :func:`~repro.units.quantize_nearest`'s
    rule and are written through the MSR file exactly as
    :meth:`CpuFreqInterface.set_speed_mhz` writes them.
-4. **Commit.**  Each daemon gets the counter snapshot, last good
-   sample, state and :class:`DaemonSample` its own iteration would have
-   left.
+4. **Commit.**  Each daemon gets the state and :class:`DaemonSample` its
+   own iteration would have left, the sample built from its rows.  The
+   deadline's counters and sample stay in :class:`_Latches` as the
+   daemon's next baseline; they reach ``turbostat._previous`` and
+   ``_last_good`` when the window writes the chip back — at window end,
+   or before anything reads the daemon's objects.
 
-The daemon, policy, turbostat, MSR and chip objects stay the single
-source of truth, and the pass keeps nothing between calls.  Its output
-is bit-identical to :meth:`PowerDaemon.iteration`, which stays the
-fallback and the oracle (DESIGN §13.6): a daemon the pass cannot
-reproduce exactly is found before anything is mutated and runs its own
-iteration.  Bit identity rests on three rules besides §13.1's:
+No MSR read, counter snapshot or turbostat sample is built per
+deadline.  The daemon, policy and chip objects stay the state of record
+for everything that steers the chip; the pass's output is bit-identical
+to :meth:`PowerDaemon.iteration`, which stays the fallback and the
+oracle (DESIGN §13.6): a daemon the pass cannot reproduce exactly is
+found before anything is mutated and is left to its own iteration,
+which the engine runs on the written-back chip.  Bit identity rests on
+three rules besides §13.1's:
 
 * claim sums are left folds column by column in app order, as
   :func:`repro.core.minfund.left_sum` adds them;
 * Python's ``min``/``max`` keep their first argument on ties and NaN,
   so they are spelled ``np.where(b < a, b, a)``, never ``np.minimum``;
-* counter deltas convert to float exactly (below 2**53) or the daemon
-  falls back.
+* counters convert to integers exactly (below 2**62) and their deltas
+  to float exactly (below 2**53), or the daemon falls back.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from repro.core.daemon import DaemonMode, PowerDaemon
+from repro.core.daemon import DaemonMode, DaemonSample, PowerDaemon
 from repro.core.frequency_shares import FrequencySharesPolicy
 from repro.errors import FrequencyError
 from repro.hw import msr as msrdef
 from repro.sim.engine import DueCall
-from repro.telemetry.counters import CounterSnapshot, package_energy_address
+from repro.sim.soa import Window
+from repro.telemetry.counters import CounterSnapshot
 from repro.telemetry.turbostat import CoreStats, TurbostatSample
 from repro.units import quantize_nearest
 
@@ -67,14 +79,15 @@ _EXACT_DELTA = np.uint64(1 << 53)
 _Lane = tuple[PowerDaemon, float, DueCall]
 
 
-def step_daemons(due: list[DueCall]) -> None:
-    """Batch entry point: the effect of ``callback(now_s)`` for each pair.
+def step_daemons(due: list[DueCall], window: Window) -> list[DueCall]:
+    """Batch entry point: the effect of ``callback(now_s)`` for each pair
+    it takes; returns the rest for the engine to fire in place.
 
     The callbacks are daemons' bound :meth:`PowerDaemon.iteration`.
     Daemons that can join the pass are grouped by array shape; a group
     of at least :data:`DAEMON_GANG_MIN` runs one pass, and everything
     else — ineligible daemons, samples that fail validation, groups too
-    narrow to pay off — is called as it is.
+    narrow to pay off — is left to its own iteration.
     """
     fallback: list[DueCall] = []
     groups: dict[tuple[object, ...], list[_Lane]] = {}
@@ -85,6 +98,7 @@ def step_daemons(due: list[DueCall]) -> None:
         if (
             wide
             and isinstance(daemon, PowerDaemon)
+            and window.holds(daemon.chip)
             and _joins(daemon)
         ):
             groups.setdefault(_shape(daemon), []).append(
@@ -93,9 +107,8 @@ def step_daemons(due: list[DueCall]) -> None:
         else:
             fallback.append(call)
     for lanes in groups.values():
-        fallback.extend(lane[2] for lane in _run_pass(lanes))
-    for callback, now_s in fallback:
-        callback(now_s)
+        fallback.extend(lane[2] for lane in _run_pass(lanes, window))
+    return fallback
 
 
 def _joins(daemon: PowerDaemon) -> bool:
@@ -123,10 +136,11 @@ def _shape(daemon: PowerDaemon) -> tuple[object, ...]:
         platform.has_per_core_energy,
         platform.pstates.frequencies_mhz,
         len(daemon.policy.apps),
+        daemon.chip.tick_s,
     )
 
 
-def _run_pass(lanes: list[_Lane]) -> list[_Lane]:
+def _run_pass(lanes: list[_Lane], window: Window) -> list[_Lane]:
     """One lockstep iteration of same-shape daemons.
 
     Returns the lanes left to their own iteration, untouched: all of
@@ -140,7 +154,9 @@ def _run_pass(lanes: list[_Lane]) -> list[_Lane]:
         requests = [first.cpufreq.pstate_request(f) for f in grid]
     except FrequencyError:
         return lanes  # a grid point the register cannot encode
-    telemetry = _Telemetry(lanes)
+    latches = window.rider(_Latches)
+    assert isinstance(latches, _Latches)
+    telemetry = _Telemetry(lanes, window, latches)
     claims = _Claims(lanes)
     ok = telemetry.valid & claims.valid
     if np.count_nonzero(ok) < DAEMON_GANG_MIN:
@@ -186,7 +202,6 @@ def _run_pass(lanes: list[_Lane]) -> list[_Lane]:
     levels = _quantize(np.array(targets), grid).tolist()
     for row, row_levels in zip(rows, levels):
         daemon, now_s, _ = lanes[row]
-        sample = telemetry.commit(row, daemon, now_s)
         chip = daemon.chip
         write = daemon.msr.write
         fail_streak = daemon._core_fail_streak
@@ -200,7 +215,8 @@ def _run_pass(lanes: list[_Lane]) -> list[_Lane]:
         daemon._targets = dict(daemon.policy._targets)
         daemon._policy_parked = set()
         daemon._consecutive_failures = 0
-        daemon.history.append(daemon._record(now_s, sample, True, False))
+        daemon.history.append(telemetry.record(row, daemon, now_s))
+    latches.commit(telemetry, rows, [lanes[row][0] for row in rows])
     return [lanes[row] for row in np.flatnonzero(~ok).tolist()]
 
 
@@ -225,65 +241,41 @@ class _Telemetry:
     """One turbostat interval for every daemon, as arrays.
 
     Mirrors :meth:`Turbostat.sample` (:class:`CounterDelta`'s operation
-    order) and :meth:`PowerDaemon._validate`.
+    order) and :meth:`PowerDaemon._validate`, on the counters
+    ``flush_counters`` would publish — read from the window's arrays —
+    against each daemon's baseline (:class:`_Latches`).
     """
 
-    def __init__(self, lanes: list[_Lane]):
+    def __init__(
+        self, lanes: list[_Lane], window: Window, latches: "_Latches"
+    ):
         platform = lanes[0][0].chip.platform
         n_cores = platform.n_cores
-        pkg_address = package_energy_address(platform)
         self.per_core_energy = platform.has_per_core_energy
-        addresses = [msrdef.IA32_APERF, msrdef.IA32_MPERF,
-                     msrdef.IA32_FIXED_CTR0]
-        if self.per_core_energy:
-            addresses.append(msrdef.MSR_AMD_CORE_ENERGY)
-        current: list[list[list[int]]] = [[] for _ in addresses]
-        current_pkg: list[int] = []
-        previous: list[CounterSnapshot] = []
-        dt: list[float] = []
-        tsc: list[float] = []
-        bounds: list[tuple[float, float, float, float]] = []
-        for daemon, now_s, _ in lanes:
-            msr = daemon.msr
-            for rows, address in zip(current, addresses):
-                rows.append(msr.read_all(address))
-            current_pkg.append(msr.read(0, pkg_address))
-            last = daemon.turbostat._previous
-            assert last is not None
-            previous.append(last)
-            dt.append(now_s - last.timestamp_s)
-            tsc.append(daemon.turbostat._tsc_mhz)
-            bounds.append(daemon.plausible_bounds())
-        self.current = current
-        self.current_pkg = current_pkg
-        self.dt = dt
+        daemons = [daemon for daemon, _, _ in lanes]
+        chips = [daemon.chip for daemon in daemons]
+        self.at = [window.index(chip) for chip in chips]
+        self.current = current = window.counters(chips)
+        previous = latches.baselines(self.at, daemons, n_cores)
+        self.now = np.array([now_s for _, now_s, _ in lanes])
+        dt_s = self.now - previous.stamp
 
-        aperf, mperf, instr = (
-            np.array(rows, dtype=np.uint64) for rows in current[:3]
-        )
-        d_aperf = aperf - np.array([p.aperf for p in previous], np.uint64)
-        d_mperf = mperf - np.array([p.mperf for p in previous], np.uint64)
-        d_instr = instr - np.array(
-            [p.instructions for p in previous], np.uint64
-        )
+        d_aperf = current.aperf - previous.aperf
+        d_mperf = current.mperf - previous.mperf
+        d_instr = current.instructions - previous.instructions
         energy_mask = np.uint64(msrdef.ENERGY_COUNTER_MASK)
-        d_pkg = (
-            np.array(current_pkg, np.uint64)
-            - np.array([p.pkg_energy_uj for p in previous], np.uint64)
-        ) & energy_mask
+        d_pkg = (current.pkg_uj - previous.pkg_uj) & energy_mask
         deltas = [d_aperf, d_mperf, d_instr, d_pkg[:, None]]
         if self.per_core_energy:
-            d_core = (
-                np.array(current[3], np.uint64)
-                - np.array([p.core_energy_uj for p in previous], np.uint64)
-            ) & energy_mask
+            d_core = (current.core_uj - previous.core_uj) & energy_mask
             deltas.append(d_core)
-        exact = np.ones(len(lanes), dtype=bool)
+        exact = current.fits.copy()
         for delta in deltas:
             exact &= (delta < _EXACT_DELTA).all(axis=1)
 
-        dt_s = np.array(dt)
-        tsc_mhz = np.array(tsc)[:, None]
+        tsc_mhz = np.array(
+            [daemon.turbostat._tsc_mhz for daemon in daemons]
+        )[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             mperf_f = d_mperf.astype(np.float64)
             freq = np.where(
@@ -297,6 +289,7 @@ class _Telemetry:
             if self.per_core_energy:
                 core_w = d_core.astype(np.float64) * 1e-6 / dt_s[:, None]
 
+        bounds = [daemon.plausible_bounds() for daemon in daemons]
         min_power, max_power, max_freq, max_ips = (
             np.array(column) for column in zip(*bounds)
         )
@@ -313,50 +306,182 @@ class _Telemetry:
                 (0.0 <= core_w) & (core_w <= max_power[:, None])
             ).all(axis=1)
         self.valid = valid
-        self.pkg_w = pkg_w.tolist()
         self.n_cores = n_cores
+        self.dt = dt_s
+        self.arrays = (freq, busy, ips, core_w, pkg_w)
+        self.pkg_w = pkg_w.tolist()
         self.freq = freq.tolist()
-        self.busy = busy.tolist()
         self.ips = ips.tolist()
         self.core_w = (
             core_w.tolist() if core_w is not None
             else [[None] * n_cores] * len(lanes)
         )
 
-    def commit(
+    def record(
         self, row: int, daemon: PowerDaemon, now_s: float
-    ) -> TurbostatSample:
+    ) -> DaemonSample:
+        """The :class:`DaemonSample` of a fresh, valid iteration, as
+        :meth:`PowerDaemon._record` builds it from the sample."""
+        freq = self.freq[row]
+        ips = self.ips[row]
+        power = self.core_w[row]
+        core_of = daemon._core_of
+        return DaemonSample(
+            iteration=daemon._iteration,
+            time_s=now_s,
+            package_power_w=self.pkg_w[row],
+            app_frequency_mhz={
+                label: freq[core] for label, core in core_of.items()
+            },
+            app_ips={label: ips[core] for label, core in core_of.items()},
+            app_power_w={
+                label: power[core] for label, core in core_of.items()
+            },
+            # nothing is parked: the pass takes no daemon with fail-safe
+            # parking or quarantine, and it clears policy parking
+            app_parked=dict.fromkeys(core_of, False),
+            targets_mhz=dict(daemon._targets),
+            health=daemon._health(True, False),
+        )
+
+
+class _Baselines(NamedTuple):
+    aperf: np.ndarray
+    mperf: np.ndarray
+    instructions: np.ndarray
+    core_uj: np.ndarray
+    pkg_uj: np.ndarray
+    stamp: np.ndarray
+
+
+class _Latches:
+    """What the pass leaves each daemon between deadlines of a window.
+
+    A :class:`~repro.sim.soa.Rider` of the lockstep window: per chip,
+    the counters of the last deadline the pass took (its daemon's
+    turbostat baseline) and the sample it derived (the last good one),
+    kept as arrays.  They reach ``turbostat._previous`` and
+    ``_last_good`` only when the window writes the chip back; after
+    that the daemon's objects are the baseline of record again.
+    """
+
+    def __init__(self, window: Window):
+        k = len(window.chips)
+        shape = (k, max(len(chip.cores) for chip in window.chips))
+        self.daemons: list[PowerDaemon | None] = [None] * k
+        #: the arrays hold the daemon's current baseline
+        self.known = [False] * k
+        #: ... which its objects do not have yet
+        self.pending = [False] * k
+        self.aperf = np.zeros(shape, dtype=np.uint64)
+        self.mperf = np.zeros(shape, dtype=np.uint64)
+        self.instructions = np.zeros(shape, dtype=np.uint64)
+        self.core_uj = np.zeros(shape, dtype=np.uint64)
+        self.pkg_uj = np.zeros(k, dtype=np.uint64)
+        self.stamp = np.zeros(k)
+        self.freq = np.zeros(shape)
+        self.busy = np.zeros(shape)
+        self.ips = np.zeros(shape)
+        self.core_w = np.zeros(shape)
+        self.pkg_w = np.zeros(k)
+        self.interval = np.zeros(k)
+
+    def baselines(
+        self, at: list[int], daemons: list[PowerDaemon], n: int
+    ) -> _Baselines:
+        """The baselines of chips ``at``, loading any the arrays do not
+        hold from the daemon's turbostat."""
+        for i, daemon in zip(at, daemons):
+            if self.known[i]:
+                continue
+            last = daemon.turbostat._previous
+            assert last is not None
+            self.aperf[i, :n] = last.aperf
+            self.mperf[i, :n] = last.mperf
+            self.instructions[i, :n] = last.instructions
+            if last.core_energy_uj is not None:
+                self.core_uj[i, :n] = last.core_energy_uj
+            self.pkg_uj[i] = last.pkg_energy_uj
+            self.stamp[i] = last.timestamp_s
+            self.known[i] = True
+        rows = np.asarray(at)
+        return _Baselines(
+            self.aperf[rows, :n],
+            self.mperf[rows, :n],
+            self.instructions[rows, :n],
+            self.core_uj[rows, :n],
+            self.pkg_uj[rows],
+            self.stamp[rows],
+        )
+
+    def commit(
+        self, telemetry: _Telemetry, rows: list[int],
+        daemons: list[PowerDaemon],
+    ) -> None:
+        """Latch the deadline's counters and samples of rows the pass
+        took as those daemons' baselines."""
+        n = telemetry.n_cores
+        at = np.asarray(telemetry.at)[rows]
+        current = telemetry.current
+        self.aperf[at, :n] = current.aperf[rows]
+        self.mperf[at, :n] = current.mperf[rows]
+        self.instructions[at, :n] = current.instructions[rows]
+        self.core_uj[at, :n] = current.core_uj[rows]
+        self.pkg_uj[at] = current.pkg_uj[rows]
+        self.stamp[at] = telemetry.now[rows]
+        self.interval[at] = telemetry.dt[rows]
+        freq, busy, ips, core_w, pkg_w = telemetry.arrays
+        self.freq[at, :n] = freq[rows]
+        self.busy[at, :n] = busy[rows]
+        self.ips[at, :n] = ips[rows]
+        if core_w is not None:
+            self.core_w[at, :n] = core_w[rows]
+        self.pkg_w[at] = pkg_w[rows]
+        for i, daemon in zip(at.tolist(), daemons):
+            self.daemons[i] = daemon
+            self.known[i] = True
+            self.pending[i] = True
+
+    def write_back(self, index: int) -> None:
         """Leave the turbostat baseline and last good sample a fresh,
-        valid :meth:`Turbostat.sample` would have left; return the
-        sample."""
-        current = self.current
+        valid :meth:`Turbostat.sample` would have left at the chip's
+        last pass deadline."""
+        self.known[index] = False
+        if not self.pending[index]:
+            return
+        self.pending[index] = False
+        daemon = self.daemons[index]
+        assert daemon is not None
+        platform = daemon.chip.platform
+        n = platform.n_cores
+        per_core = platform.has_per_core_energy
+        stamp = self.stamp[index].item()
         daemon.turbostat._previous = CounterSnapshot(
-            timestamp_s=now_s,
-            aperf=tuple(current[0][row]),
-            mperf=tuple(current[1][row]),
-            instructions=tuple(current[2][row]),
-            pkg_energy_uj=self.current_pkg[row],
+            timestamp_s=stamp,
+            aperf=tuple(self.aperf[index, :n].tolist()),
+            mperf=tuple(self.mperf[index, :n].tolist()),
+            instructions=tuple(self.instructions[index, :n].tolist()),
+            pkg_energy_uj=int(self.pkg_uj[index]),
             core_energy_uj=(
-                tuple(current[3][row]) if self.per_core_energy else None
+                tuple(self.core_uj[index, :n].tolist()) if per_core else None
             ),
         )
-        sample = TurbostatSample(
-            timestamp_s=now_s,
-            interval_s=self.dt[row],
-            package_power_w=self.pkg_w[row],
+        daemon._last_good = TurbostatSample(
+            timestamp_s=stamp,
+            interval_s=self.interval[index].item(),
+            package_power_w=self.pkg_w[index].item(),
             cores=tuple(
                 map(
                     CoreStats,
-                    range(self.n_cores),
-                    self.freq[row],
-                    self.busy[row],
-                    self.ips[row],
-                    self.core_w[row],
+                    range(n),
+                    self.freq[index, :n].tolist(),
+                    self.busy[index, :n].tolist(),
+                    self.ips[index, :n].tolist(),
+                    self.core_w[index, :n].tolist() if per_core
+                    else [None] * n,
                 )
             ),
         )
-        daemon._last_good = sample
-        return sample
 
 
 def _left_fold(columns: np.ndarray) -> np.ndarray:

@@ -19,24 +19,25 @@ application crashing mid-run.
 The tick loop has two execution paths with identical semantics:
 
 * **batched fast path** (default): compute the next pending deadline
-  across all periodic and one-shot callbacks and let the chip advance
-  the whole gap in one :meth:`~repro.sim.chip.Chip.advance_ticks` call,
-  skipping the per-tick callback scan entirely;
+  across all periodic and one-shot callbacks and advance the whole gap
+  in one call, skipping the per-tick callback scan entirely;
 * **per-tick slow path**: the original tick-by-tick dispatch.
 
 Any registered *gate* forces the slow path: gates must be consulted at
 every deadline with the fault stream drawn in per-deadline order, so
-fault-injected runs keep PR 1's chaos semantics bit-identical.  Setting
+fault-injected runs keep their chaos semantics bit-identical.  Setting
 ``engine.batching = False`` also forces the slow path (the equivalence
 tests' reference mode).
 
 Orthogonally to *when* callbacks fire, ``engine="scalar"|"array"``
-selects *how* a batched gap is stepped: the per-tick reference loop or
-the struct-of-arrays numpy kernel (:mod:`repro.sim.soa`), which is
-bit-identical by contract and falls back to the scalar loop for
-anything it cannot reproduce exactly.  :func:`run_lockstep` extends the
-array path across engines: chips of multiple nodes stepped through the
-same window are stacked along the core axis into one batch.
+selects *how* a batched gap is stepped: ``Chip.advance_ticks`` (the
+per-tick reference loop) or :func:`repro.sim.soa.advance_chip`, the
+struct-of-arrays numpy batch, which is bit-identical by contract and
+hands the ticks it cannot batch to the fused per-tick loop
+(:mod:`repro.sim.fused`).  :func:`run_lockstep` extends the array path
+across engines: chips of multiple nodes stepped through the same window
+are stacked along the core axis into one batch, and what they produce
+stays in the window's arrays from deadline to deadline.
 """
 
 from __future__ import annotations
@@ -62,9 +63,11 @@ TickGate = Callable[[float], GateResult]
 
 #: A due callback with the simulated time it fires at.
 DueCall = tuple[Callable[[float], object], float]
-#: A batch entry point (see :meth:`SimEngine.every`): must have the
-#: effect of ``callback(now_s)`` for every pair it is handed.
-BatchEntry = Callable[[list[DueCall]], None]
+#: A batch entry point (see :meth:`SimEngine.every`): given the due
+#: calls of one lockstep boundary and the lockstep window, it must have
+#: the effect of ``callback(now_s)`` for every pair it takes, and
+#: returns the pairs it leaves to be fired in place.
+BatchEntry = Callable[[list[DueCall], soa.Window], list[DueCall]]
 
 
 def _chip_digest(chip: Chip) -> dict[str, object]:
@@ -150,10 +153,11 @@ class SimEngine:
         ``batch`` is an optional batch entry point for
         :func:`run_lockstep`: at a boundary where this is the engine's
         only due callback, the lockstep loop hands ``(callback, now_s)``
-        to one ``batch(due)`` call per boundary together with every other
-        gang engine's, instead of calling it in place.  It must have the
-        same effect as calling each callback; :meth:`run_ticks` always
-        calls the callback itself.
+        to one ``batch(due, window)`` call per boundary together with
+        every other gang engine's, instead of calling it in place.  It
+        must have the same effect as calling each callback it takes and
+        returns the rest, which the loop fires in place;
+        :meth:`run_ticks` always calls the callback itself.
         """
         period_ticks = int(round(period_s / self.chip.tick_s))
         if period_ticks <= 0:
@@ -205,25 +209,36 @@ class SimEngine:
         return max(1, int(round(delay_s / self.chip.tick_s)))
 
     def _process_due_callbacks(
-        self, batches: dict[BatchEntry, list[DueCall]] | None = None
+        self,
+        window: soa.Window | None = None,
+        batches: dict[BatchEntry, list[tuple["SimEngine", DueCall]]]
+        | None = None,
     ) -> None:
         """Fire every periodic/one-shot due at the current tick count.
 
-        With ``batches`` (the lockstep loop), a lone due callback that
-        registered a batch entry point is queued there instead of fired:
-        the chip is flushed and the deadline advanced exactly as below.
+        In a lockstep ``window``, a lone due callback that registered a
+        batch entry point is queued in ``batches`` instead, with the
+        chip's time from the window, and its deadline advanced as
+        below; anything else due fires in place once the window has
+        handed the chip back to its objects.
         """
-        if batches is not None:
-            lone = self._lone_due()
-            if lone is not None and lone.batch is not None and (
-                lone.gate is None
-            ):
-                self.chip.flush_counters()
-                batches.setdefault(lone.batch, []).append(
-                    (lone.callback, self.chip.time_s)
-                )
-                lone.next_due = self._ticks_run + lone.period_ticks
+        if window is not None:
+            now = self._ticks_run
+            due = [p for p in self._periodics if now >= p.next_due]
+            shot = any(
+                not o.fired and now >= o.due_tick for o in self._oneshots
+            )
+            if not due and not shot:
                 return
+            if len(due) == 1 and not shot:
+                lone = due[0]
+                if lone.batch is not None and lone.gate is None:
+                    assert batches is not None
+                    call = (lone.callback, window.time_s(self.chip))
+                    batches.setdefault(lone.batch, []).append((self, call))
+                    lone.next_due = now + lone.period_ticks
+                    return
+            window.release(self.chip)
         flushed = False
         for periodic in self._periodics:
             if self._ticks_run < periodic.next_due:
@@ -268,15 +283,12 @@ class SimEngine:
                 o for o in self._oneshots if not o.fired
             ]
 
-    def _lone_due(self) -> _Periodic | None:
-        """The periodic due now, if it is the only callback due."""
-        now = self._ticks_run
-        due = [p for p in self._periodics if now >= p.next_due]
-        if len(due) != 1:
-            return None
-        if any(not o.fired and now >= o.due_tick for o in self._oneshots):
-            return None
-        return due[0]
+    def _fire_released(self, call: DueCall, window: soa.Window) -> None:
+        """Fire in place a queued call its batch entry left."""
+        window.release(self.chip)
+        self.chip.flush_counters()
+        callback, now_s = call
+        callback(now_s)
 
     def _gap_to_next_deadline(self, remaining: int) -> int:
         """Ticks until the earliest pending deadline, capped and >= 1."""
@@ -354,11 +366,17 @@ run_ticks` would.  Semantically equivalent to running each engine's
     ``run_ticks(n_ticks)`` in sequence — node chips are independent, so
     interleaving their ticks cannot change any result.
 
-    A callback registered with a batch entry point (the power daemon's
-    iteration, see :mod:`repro.core.gang`) is not fired in place when it
-    is its engine's only callback due at a boundary: every such call of
-    the boundary goes to one ``batch(due)`` call after all gang engines
-    have been flushed and had their deadlines advanced.
+    The whole call is one :class:`~repro.sim.soa.Window`: what the
+    chips produce stays in its arrays from deadline to deadline, and
+    each chip is written back and flushed once, at the end.  A callback
+    registered with a batch entry point (the power daemon's iteration,
+    see :mod:`repro.core.gang`) is not fired in place when it is its
+    engine's only callback due at a boundary: every such call of the
+    boundary goes to one ``batch(due, window)`` call, which reads the
+    counters from the window.  Any other callback, and every call the
+    batch entry leaves, fires in place after the window has handed that
+    engine's chip back to its objects (it is gathered again before its
+    next batch).
     """
     gang: list[SimEngine] = []
     for engine in engines:
@@ -369,20 +387,29 @@ run_ticks` would.  Semantically equivalent to running each engine's
     if not gang:
         return
     chips = [engine.chip for engine in gang]
-    remaining = n_ticks
-    while remaining > 0:
-        gap = min(
-            engine._gap_to_next_deadline(remaining) for engine in gang
-        )
-        soa.advance_chips(chips, gap)
-        batches: dict[BatchEntry, list[DueCall]] = {}
-        for engine in gang:
-            engine._ticks_run += gap
-            engine.batched_segments += 1
-            engine._process_due_callbacks(batches)
-        for batch, due in batches.items():
-            batch(due)
-        remaining -= gap
+    window = soa.Window(chips)
+    try:
+        remaining = n_ticks
+        while remaining > 0:
+            gap = min(
+                engine._gap_to_next_deadline(remaining) for engine in gang
+            )
+            soa.advance_chips(chips, gap, window)
+            batches: dict[BatchEntry, list[tuple[SimEngine, DueCall]]] = {}
+            for engine in gang:
+                engine._ticks_run += gap
+                engine.batched_segments += 1
+                engine._process_due_callbacks(window, batches)
+            for batch, queued in batches.items():
+                left = batch([call for _, call in queued], window)
+                if left:
+                    ids = set(map(id, left))
+                    for engine, call in queued:
+                        if id(call) in ids:
+                            engine._fire_released(call, window)
+            remaining -= gap
+    finally:
+        window.close()
     for engine in gang:
         engine.chip.flush_counters()
         if engine.sanitizer is not None and n_ticks > 0:

@@ -4,11 +4,26 @@ The scalar hot loop (:meth:`repro.sim.chip.Chip.tick`) walks Python
 ``Core`` objects once per tick.  This module replaces whole *batches* of
 ticks with numpy matrix transforms over a ``(ticks, cores)`` layout —
 and, for a cluster stepped in lockstep, over all chips stacked along the
-core axis into one ``(ticks, nodes x cores)`` batch — while keeping the
-``Chip``/``Core`` object graph the single source of truth: state is
-*gathered* into arrays at the start of a batch and *committed* back at
-the end, so every consumer (daemon, telemetry, policies, tests) sees
-exactly the objects it always did.
+core axis into one ``(ticks, nodes x cores)`` batch.
+
+State is held for a *window* (:class:`Window`): one
+:func:`advance_chips` call, or a whole :func:`repro.sim.engine.\
+run_lockstep` call that spans many deadlines.  Within it the rule is
+
+* everything that *steers* a chip stays on its objects: P-state
+  requests, parking, load placement and RAPL limits are read from them
+  (through the placement and view generations below) at every batch;
+* everything a chip *produces* lives in the window's arrays from the
+  chip's gather on: simulated time, the per-core counters and energy,
+  C-state residency, app progress, package energy, the RAPL average and
+  cap, and the last tick's samples and powers.
+
+A chip's outputs are written back (*unloaded*) to its objects at window
+end, and earlier only for a consumer that reads the objects: a ``done``
+flip (the next P-state view refresh counts ``Core.active``, which reads
+the last sample), a placement change, the fused fallback, and — through
+:meth:`Window.release` — any per-node software that runs in place.  The
+chip is gathered again before its next batch.
 
 Equivalence contract (DESIGN.md section 13): results are bit-identical
 to the scalar reference.  That holds because
@@ -27,8 +42,8 @@ to the scalar reference.  That holds because
 * the RAPL limiter's EWMA control loop is a sequential recurrence with
   no closed form, so it is replayed tick-by-tick in the limiter's exact
   operation order — on local floats per chip, or for wide gangs once
-  per tick across every limited chip — and written back only for the
-  committed prefix;
+  per tick across every limited chip — and kept only for the committed
+  prefix;
 * ticks the batch cannot take — chips with websearch clusters or
   non-batch loads (time-shared cores, cluster serving cores) or a grid
   with fewer than two points, gaps shorter than :data:`MIN_BATCH_TICKS`,
@@ -53,26 +68,28 @@ Gathering runs at three cadences:
   the fused loop, which consumes ``_dirty``, must still invalidate
   them), and re-concatenates the group's placement rows only when a
   placement serial changes;
-* **live state** (:class:`ChipArrayState`) is re-read every batch: the
-  ``running`` mask, which folds in ``app.finished`` (the one mutation
-  that arrives from outside the chip, e.g. crash faults), accumulator
-  seeds and the RAPL control state.
+* **live state** (:class:`_Gang`) is gathered once per chip per window,
+  and again only after the chip was unloaded.  The ``running`` mask
+  folds in ``app.finished``, which a batch changes only through a
+  finish (a ``done`` flip, so an unload follows) and the outside world
+  only through a consumer (crash faults fire as one-shots).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple, Protocol
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.hw.cstates import EXIT_LATENCY_S, CState
+from repro.hw.msr import ENERGY_COUNTER_MASK
 from repro.sim import kernel
 from repro.sim.core import BatchCoreLoad, IdleLoad, LoadSample
 from repro.sim.fused import advance_fused
-from repro.units import clamp
+from repro.units import MICROJOULE, clamp
 
 if TYPE_CHECKING:
     from repro.hw.pstate import PStateTable
@@ -119,6 +136,21 @@ _PLACEMENT_SERIAL = itertools.count()
 #: a column's phase key (chip start time, period, offset, IPC and power
 #: amplitudes) as one opaque 40-byte value, so keys dedupe bit for bit.
 _PHASE_KEY = np.dtype((np.void, 5 * 8))
+
+#: C-state residency codes of the resident ``cstate`` row.
+_CSTATES = (CState.C0, CState.C1, CState.C6)
+_CODE = {state: code for code, state in enumerate(_CSTATES)}
+_C0, _C1, _C6 = range(3)
+
+#: the thirteen per-lane running sums, and the rows of the MSR-side
+#: ones (instructions, per-core energy, APERF, MPERF) and of retired
+#: work in :func:`_fold`'s block order.
+_SUMS = 13
+_INSTR, _ENERGY, _RETIRED, _APERF, _MPERF = 0, 2, 4, 7, 8
+
+#: counters at or above this do not convert to a 64-bit integer exactly
+#: in numpy; the caller falls back to the objects' own conversion.
+_CONVERTIBLE = float(1 << 62)
 
 
 def _grid_arrays(table: "PStateTable") -> tuple["np.ndarray", "np.ndarray"]:
@@ -262,11 +294,10 @@ class _Placement:
             "wake_row": np.full(n, wake_eff, dtype=np.float64),
             "c1_idle": np.where(parked_row, 0.0, dt),
             "c6_inc": np.where(parked_row, dt, 0.0),
+            "parked_row": parked_row,
             # each core's position within its chip (package-sum layout)
             "core_row": np.arange(n),
         }
-        #: this chip's group when it is stepped alone (built on first use)
-        self.solo: _Stacked | None = None
 
 
 class _Stacked:
@@ -312,18 +343,20 @@ class _Stacked:
         ]
         self.view: tuple[int, ...] | None = None
         self.freq: dict[str, "np.ndarray"] = {}
-        #: each chip's fastest *unparked* base frequency (parked cores
-        #: carry base 0.0): the threshold below which its RAPL cap clips
-        self.base_max: list[float] = []
+        #: the resolved base frequency of every lane (0.0 when parked)
+        self.base = np.zeros(self.total)
+        #: each chip's fastest *unparked* base frequency: the threshold
+        #: below which its RAPL cap clips
+        self.base_max = np.zeros(len(placements))
 
-    def refresh(self, states: list["ChipArrayState"]) -> None:
+    def refresh(self, chips: list["Chip"], dt: float) -> None:
         """Recompute the frequency rows if any chip's view has moved."""
-        view = tuple(st.chip._view_generation for st in states)
+        view = tuple(chip._view_generation for chip in chips)
         if view == self.view:
             return
         base = np.fromiter(
             itertools.chain.from_iterable(
-                st.chip._base_effective_mhz for st in states
+                chip._base_effective_mhz for chip in chips
             ),
             dtype=np.float64,
             count=self.total,
@@ -345,58 +378,142 @@ class _Stacked:
             "factor_run": factor,
             "volt_run": volt,
             "fghz_run": base / 1000.0,
-            "aperf_run": (base * 1e6) * states[0].dt,
+            "aperf_run": (base * 1e6) * dt,
         }
-        self.base_max = np.maximum.reduceat(base, self.starts).tolist()
+        self.base = base
+        self.base_max = np.maximum.reduceat(base, self.starts)
         self.view = view
 
 
-class ChipArrayState:
-    """One chip's per-batch gather: cached placement rows + live masks.
+class Counters(NamedTuple):
+    """What ``Chip.flush_counters`` would publish, as ``(chips, cores)``
+    arrays (package energy per chip)."""
 
-    Built at the start of every batch; the constructor performs the same
-    lazy P-state refresh the scalar tick would (so a pending dirty flag
-    resolves identically, including raising on invalid simultaneous
-    P-state requests).
+    aperf: "np.ndarray"
+    mperf: "np.ndarray"
+    instructions: "np.ndarray"
+    #: per-core energy status, micro-joules mod 2**32
+    core_uj: "np.ndarray"
+    #: package energy status, micro-joules mod 2**32
+    pkg_uj: "np.ndarray"
+    #: rows whose every counter converted exactly (the others fall
+    #: back to the objects' own conversion)
+    fits: "np.ndarray"
+
+
+def _energy_uj(joules: "np.ndarray") -> "np.ndarray":
+    """``joules_to_uj(j) % 2**32``: round half to even, then wrap."""
+    return (
+        np.rint(joules / MICROJOULE).astype(np.int64) & ENERGY_COUNTER_MASK
+    ).astype(np.uint64)
+
+
+class Rider(Protocol):
+    """State a window's consumer derives per chip from its arrays (the
+    lockstep daemon pass's counter baselines, :mod:`repro.core.gang`)."""
+
+    def write_back(self, index: int) -> None:
+        """Hand chip ``index``'s derived state to its objects."""
+
+
+class Window:
+    """The resident state of a set of chips for one stepping window.
+
+    :meth:`advance` steps every chip (the array-stepped ones in one
+    stacked gang per tick length, the rest through the fused loop);
+    :meth:`release` hands one chip back to its objects for a per-node
+    consumer; :meth:`close` writes every chip back.  Between those the
+    objects of an array-stepped chip hold its inputs only (see the
+    module docstring), so nothing but the window may read its outputs.
     """
 
-    def __init__(self, chip: "Chip"):
-        if chip._dirty or not chip.dirty_caching:
-            chip._refresh_pstate_view()
-        placement = chip.__dict__.get("_soa_placement")
-        if (
-            placement is None
-            or placement.generation != chip._placement_generation
-        ):
-            placement = _Placement(chip)
-            chip._soa_placement = placement
-        self.chip = chip
-        self.placement = placement
-        self.dt = chip.tick_s
-        self.t0 = chip.time_s
+    def __init__(self, chips: list["Chip"]):
+        self.chips = list(chips)
+        self._index = {id(chip): i for i, chip in enumerate(self.chips)}
+        self._gangs: dict[float, _Gang] = {}
+        #: each array-stepped chip's gang and position in it
+        self._where: dict[int, tuple[_Gang, int]] = {}
+        self._riders: dict[type, Rider] = {}
 
-        loads = placement.loads
-        running: list[bool] = []
-        retired0: list[float] = []
-        elapsed0: list[float] = []
-        prev_c6: list[bool] = []
-        residencies = chip.cstates._cores
-        for local, core in enumerate(chip.cores):
-            load = loads[local]
-            if load is not None and not load.app.finished:
-                running.append(True)
-                retired0.append(load.app.retired_instructions)
-                elapsed0.append(load.app.elapsed_s)
+    def index(self, chip: "Chip") -> int:
+        """``chip``'s position in :attr:`chips`."""
+        return self._index[id(chip)]
+
+    def holds(self, chip: "Chip") -> bool:
+        """Whether ``chip`` steps in one of the window's array gangs."""
+        return id(chip) in self._where
+
+    def time_s(self, chip: "Chip") -> float:
+        """``chip``'s simulated time."""
+        at = self._where.get(id(chip))
+        if at is None or at[0].stale[at[1]]:
+            return chip.time_s
+        return at[0].times[at[1]]
+
+    def rider(self, kind: type) -> Rider:
+        """The window's ``kind(window)``, built on first use; it is told
+        of every write-back (:meth:`release`, :meth:`close`)."""
+        rider = self._riders.get(kind)
+        if rider is None:
+            rider = self._riders[kind] = kind(self)
+        return rider
+
+    def advance(self, n_ticks: int) -> None:
+        """Advance every chip by ``n_ticks``."""
+        members: dict[float, list["Chip"]] = {}
+        for chip in self.chips:
+            at = self._where.get(id(chip))
+            # support changes only through a consumer, which leaves the
+            # chip stale: resident chips skip the check
+            if (
+                at is not None and not at[0].stale[at[1]]
+            ) or chip_supports_array(chip):
+                members.setdefault(chip.tick_s, []).append(chip)
+            elif chip.dirty_caching:
+                advance_fused(chip, n_ticks)
             else:
-                running.append(False)
-                retired0.append(0.0)
-                elapsed0.append(0.0)
-            prev_c6.append(residencies[core.core_id].current is CState.C6)
-        self.running = running
-        self.running_arr = np.asarray(running, dtype=bool)
-        self.retired0 = retired0
-        self.elapsed0 = elapsed0
-        self.prev_c6 = prev_c6
+                chip.advance_ticks(n_ticks)
+        for tick in [t for t in self._gangs if t not in members]:
+            self._drop(self._gangs.pop(tick))
+        for tick, chips in members.items():
+            gang = self._gangs.get(tick)
+            if gang is None or gang.chips != chips:
+                if gang is not None:
+                    self._drop(gang)
+                gang = self._gangs[tick] = _Gang.over(chips)
+                for position, chip in enumerate(chips):
+                    self._where[id(chip)] = (gang, position)
+            gang.advance(n_ticks)
+
+    def counters(self, chips: list["Chip"]) -> Counters:
+        """The counters of array-stepped chips of one tick length and
+        core count, as ``flush_counters`` converts them."""
+        gang = self._where[id(chips[0])][0]
+        return gang.counters([self._where[id(chip)][1] for chip in chips])
+
+    def release(self, chip: "Chip") -> None:
+        """Write ``chip`` back for a consumer of its objects; it is
+        gathered again before its next batch.  Flushing the counters
+        into the MSR file is the caller's."""
+        at = self._where.get(id(chip))
+        if at is not None:
+            at[0].unload([at[1]])
+        index = self._index[id(chip)]
+        for rider in self._riders.values():
+            rider.write_back(index)
+
+    def close(self) -> None:
+        """Write every chip back."""
+        for gang in self._gangs.values():
+            gang.unload(range(len(gang.chips)))
+        for rider in self._riders.values():
+            for index in range(len(self.chips)):
+                rider.write_back(index)
+
+    def _drop(self, gang: "_Gang") -> None:
+        gang.unload(range(len(gang.chips)))
+        for chip in gang.chips:
+            del self._where[id(chip)]
 
 
 def advance_chip(chip: "Chip", n_ticks: int) -> None:
@@ -404,81 +521,573 @@ def advance_chip(chip: "Chip", n_ticks: int) -> None:
     advance_chips([chip], n_ticks)
 
 
-def advance_chips(chips: list["Chip"], n_ticks: int) -> None:
+def advance_chips(
+    chips: list["Chip"], n_ticks: int, window: Window | None = None
+) -> None:
     """Advance every chip by ``n_ticks``, batching where possible.
 
     Chips the array path cannot step exactly take the fused loop (or,
     in ``dirty_caching=False`` reference mode, ``Chip.advance_ticks``);
     the rest are stacked along the core axis (grouped by tick length)
-    and stepped as one ``(ticks, total cores)`` batch.
+    and stepped as one ``(ticks, total cores)`` batch.  ``window`` is an
+    open :class:`Window` over ``chips`` whose state carries over from
+    the previous call; without one the call is a window of its own,
+    written back before it returns.
     """
     if n_ticks < 0:
         raise SimulationError("cannot run negative ticks")
-    groups: dict[float, list["Chip"]] = {}
-    for chip in chips:
-        if chip_supports_array(chip):
-            groups.setdefault(chip.tick_s, []).append(chip)
-        elif chip.dirty_caching:
+    if window is not None:
+        window.advance(n_ticks)
+        return
+    window = Window(chips)
+    try:
+        window.advance(n_ticks)
+    finally:
+        window.close()
+
+
+def _placement(chip: "Chip") -> _Placement:
+    """The chip's placement rows, rebuilt when its placement moved."""
+    placement = chip.__dict__.get("_soa_placement")
+    if placement is None or placement.generation != chip._placement_generation:
+        placement = _Placement(chip)
+        chip._soa_placement = placement
+    return placement
+
+
+class _Gang:
+    """The resident arrays of one window's chips of one tick length.
+
+    Lanes are the chips' cores stacked in order.  ``blocks`` holds the
+    thirteen per-lane running sums in :func:`_fold`'s order and ``acc``
+    those plus each chip's package energy.  A chip is *stale* while its
+    objects are the state of record — before its first gather and after
+    :meth:`unload` — and *moved* once a batch has advanced it since its
+    gather (an unmoved chip's objects are still current).
+    """
+
+    def __init__(self, chips: list["Chip"]):
+        self.chips = chips
+        self.dt = chips[0].tick_s
+        k = len(chips)
+        self.sizes = [len(chip.cores) for chip in chips]
+        self.starts = list(itertools.accumulate(self.sizes, initial=0))[:-1]
+        total = self.total = sum(self.sizes)
+        self.placements: list[_Placement | None] = [None] * k
+        self.stale = [True] * k
+        self.moved = [False] * k
+        self.stacked: _Stacked | None = None
+        self.acc = np.zeros(_SUMS * total + k)
+        self.blocks = self.acc[: _SUMS * total].reshape(_SUMS, total)
+        self.pkg_energy = self.acc[_SUMS * total :]
+        # per chip: simulated time, the last tick's package power and
+        # the RAPL control state (the primed flags apart)
+        self.per_chip = np.zeros((4, k))
+        self.time, self.pkg_last, self.rapl_avg, self.rapl_cap = self.per_chip
+        self.rapl_primed = np.zeros(k, dtype=bool)
+        #: :attr:`time` as Python floats, for the engine's deadlines
+        self.times = [0.0] * k
+        self.running = np.zeros(total, dtype=bool)
+        self.prev_done = np.zeros(total, dtype=bool)
+        self.cstate = np.zeros(total, dtype=np.int8)
+        self.transitions = np.zeros(total, dtype=np.int64)
+        # the last committed tick, per lane (written by every batch,
+        # read only by the write-back of a moved chip)
+        self.last = np.zeros((5, total))
+        (self.inst_last, self.ceff_last, self.power_last, self.eff_last,
+         self.factor_last) = self.last
+        self.limited = [
+            i for i, chip in enumerate(chips) if chip.rapl is not None
+        ]
+        self.limiters: list["RaplLimiter"] = [
+            chips[i].rapl for i in self.limited
+        ]
+
+    @staticmethod
+    def over(chips: list["Chip"]) -> "_Gang":
+        """A gang of ``chips``; a chip stepped alone keeps its own
+        (with its stacked rows) from window to window."""
+        if len(chips) > 1:
+            return _Gang(chips)
+        gang = chips[0].__dict__.get("_soa_gang")
+        if gang is None:
+            gang = chips[0]._soa_gang = _Gang(chips)
+        return gang
+
+    def _lanes(self, idx: list[int]) -> "np.ndarray | slice":
+        """The lanes of chips ``idx`` (ascending), as an index."""
+        if len(idx) == len(self.chips):
+            return slice(None)
+        return np.concatenate(
+            [np.arange(self.starts[i], self.starts[i] + self.sizes[i])
+             for i in idx]
+        )
+
+    def advance(self, n_ticks: int) -> None:
+        remaining = n_ticks
+        while remaining > 0:
+            if remaining < MIN_BATCH_TICKS:
+                self._fused(remaining)
+                return
+            stale = self._prepare()
+            if self._clips():
+                # the RAPL cap is clipping right now: run the fused loop
+                # for a stretch instead of re-deriving candidates one
+                # tick at a time while the cap walks
+                committed = min(remaining, RAPL_SCALAR_TICKS)
+                self._fused(committed)
+            else:
+                if stale:
+                    self._gather(stale)
+                committed = _advance_batch(
+                    self, min(remaining, MAX_BATCH_TICKS)
+                )
+            remaining -= committed
+
+    def _fused(self, n_ticks: int) -> None:
+        self.unload(range(len(self.chips)))
+        for chip in self.chips:
             advance_fused(chip, n_ticks)
-        else:
-            chip.advance_ticks(n_ticks)
-    for group in groups.values():
-        _advance_group(group, n_ticks)
+
+    def _prepare(self) -> list[int]:
+        """Resolve pending P-state views and bring the stacked rows up
+        to date for the next batch; returns the stale chips."""
+        stale: list[int] = []
+        for i, chip in enumerate(self.chips):
+            placement = _placement(chip)
+            if placement is not self.placements[i]:
+                if not self.stale[i]:
+                    # written back with the placement it was gathered
+                    # under, then gathered under the new one
+                    self.unload([i])
+                self.placements[i] = placement
+            if self.stale[i]:
+                stale.append(i)
+            # the same lazy refresh the scalar tick runs (a pending dirty
+            # flag resolves identically, including raising on invalid
+            # simultaneous P-state requests)
+            if chip._dirty:
+                chip._refresh_pstate_view()
+        key = tuple(p.serial for p in self.placements)
+        stacked = self.stacked
+        if stacked is None or stacked.key != key:
+            stacked = self.stacked = _Stacked(self.placements, key)
+        stacked.refresh(self.chips, self.dt)
+        return stale
+
+    def _clips(self) -> bool:
+        """Whether a RAPL cap is below its chip's fastest unparked base
+        frequency, so it would clip the very first tick of a batch."""
+        assert self.stacked is not None
+        base_max = self.stacked.base_max.tolist()
+        caps = self.rapl_cap.tolist()
+        for i, limiter in zip(self.limited, self.limiters):
+            cap = limiter.cap_mhz if self.stale[i] else caps[i]
+            if cap < base_max[i]:
+                return True
+        return False
+
+    def _gather(self, idx: list[int]) -> None:
+        """Load chips ``idx`` from their objects."""
+        sums: list[list[float]] = [[] for _ in range(_SUMS)]
+        (instr, t_instr, energy, t_energy, retired, busy, wall, aperf,
+         mperf, c0, c1, c6, elapsed) = sums
+        running: list[bool] = []
+        prev_done: list[bool] = []
+        cstate: list[int] = []
+        transitions: list[int] = []
+        for i in idx:
+            chip = self.chips[i]
+            placement = self.placements[i] = _placement(chip)
+            instr.extend(chip._instr_total)
+            energy.extend(chip.energy._core_energy_j)
+            aperf.extend(chip._aperf_cycles)
+            mperf.extend(chip._mperf_cycles)
+            prev_done.extend(chip._prev_sample_done)
+            for load, core in zip(placement.loads, chip.cores):
+                if load is not None and not load.app.finished:
+                    running.append(True)
+                    retired.append(load.app.retired_instructions)
+                    elapsed.append(load.app.elapsed_s)
+                else:
+                    running.append(False)
+                    retired.append(0.0)
+                    elapsed.append(0.0)
+                t_instr.append(core.total_instructions)
+                t_energy.append(core.total_energy_j)
+                busy.append(core.total_busy_s)
+                wall.append(core.total_time_s)
+            for res in chip.cstates._cores:
+                c0.append(res.c0_s)
+                c1.append(res.c1_s)
+                c6.append(res.c6_s)
+                cstate.append(_CODE[res.current])
+                transitions.append(res.transitions)
+            self.time[i] = self.times[i] = chip.time_s
+            self.pkg_energy[i] = chip.energy._pkg_energy_j
+            if chip.rapl is not None:
+                (self.rapl_avg[i], self.rapl_cap[i],
+                 self.rapl_primed[i]) = chip.rapl.control_state()
+            self.stale[i] = False
+            self.moved[i] = False
+        lanes = self._lanes(idx)
+        self.blocks[:, lanes] = sums
+        self.running[lanes] = running
+        self.prev_done[lanes] = prev_done
+        self.cstate[lanes] = cstate
+        self.transitions[lanes] = transitions
+
+    def unload(self, idx) -> None:
+        """Write chips ``idx`` back to their objects and leave them
+        stale."""
+        moved = [i for i in idx if not self.stale[i] and self.moved[i]]
+        if moved:
+            self._scatter(moved)
+        for i in idx:
+            self.stale[i] = True
+            self.moved[i] = False
+
+    def _scatter(self, idx: list[int]) -> None:
+        # tolist() yields plain Python floats, ints and bools —
+        # np.float64 must never leak into object state
+        lanes = self._lanes(idx)
+        (i_f, ti_f, e_f, te_f, r_f, b_f, tt_f, a_f, m_f, c0_f, c1_f,
+         c6_f, el_f) = self.blocks[:, lanes].tolist()
+        running = self.running[lanes].tolist()
+        done = self.prev_done[lanes].tolist()
+        cstate = self.cstate[lanes].tolist()
+        transitions = self.transitions[lanes].tolist()
+        (inst_last, ceff_last, power_last, eff_last,
+         factor_last) = self.last[:, lanes].tolist()
+        pkg_last, rapl_avg, rapl_cap = self.per_chip[1:, idx].tolist()
+        pkg_energy = self.pkg_energy[idx].tolist()
+        rapl_primed = self.rapl_primed[idx].tolist()
+        g = 0
+        for j, i in enumerate(idx):
+            chip = self.chips[i]
+            start = g
+            aperf = chip._aperf_cycles
+            mperf = chip._mperf_cycles
+            instr_total = chip._instr_total
+            prev = chip._prev_sample_done
+            core_energy = chip.energy._core_energy_j
+            residencies = chip.cstates._cores
+            for load, core in zip(self.placements[i].loads, chip.cores):
+                cpu = core.core_id
+                # a lane ran in every batch since its gather if its app
+                # is running, or finished on the last committed tick
+                # (the objects do not know yet; a finish unloads)
+                if load is not None and (
+                    running[g] or not load.app.finished
+                ):
+                    app = load.app
+                    app.retired_instructions = r_f[g]
+                    app.elapsed_s = el_f[g]
+                    app.finished = not running[g]
+                    load._factor = factor_last[g]
+                    load._factor_freq = eff_last[g]
+                    core.last_sample = LoadSample(
+                        instructions=inst_last[g],
+                        busy_fraction=1.0,
+                        c_eff=ceff_last[g],
+                        done=done[g],
+                    )
+                else:
+                    core.last_sample = _IDLE_SAMPLE
+                core.effective_mhz = eff_last[g]
+                core.total_instructions = ti_f[g]
+                core.total_energy_j = te_f[g]
+                core.total_busy_s = b_f[g]
+                core.total_time_s = tt_f[g]
+                aperf[cpu] = a_f[g]
+                mperf[cpu] = m_f[g]
+                instr_total[cpu] = i_f[g]
+                core_energy[cpu] = e_f[g]
+                residency = residencies[cpu]
+                residency.c0_s = c0_f[g]
+                residency.c1_s = c1_f[g]
+                residency.c6_s = c6_f[g]
+                residency.current = _CSTATES[cstate[g]]
+                residency.transitions = transitions[g]
+                prev[cpu] = done[g]
+                g += 1
+            chip.last_core_powers_w = power_last[start:g]
+            chip.last_package_power_w = pkg_last[j]
+            chip.energy._pkg_energy_j = pkg_energy[j]
+            chip.time_s = self.times[i]
+            if chip.rapl is not None:
+                chip.rapl.restore_control_state(
+                    (rapl_avg[j], rapl_cap[j], rapl_primed[j])
+                )
+
+    def counters(self, idx: list[int]) -> Counters:
+        stale = [i for i in idx if self.stale[i]]
+        if stale:
+            self._gather(stale)
+        n = self.sizes[idx[0]]
+        at = np.asarray(idx)
+        starts = np.asarray([self.starts[i] for i in idx])
+        lanes = starts[:, None] + np.arange(n)
+        blocks = self.blocks
+        aperf = blocks[_APERF][lanes]
+        mperf = blocks[_MPERF][lanes]
+        instr = blocks[_INSTR][lanes]
+        core_j = blocks[_ENERGY][lanes]
+        pkg_j = self.pkg_energy[at]
+        fits = (
+            (aperf < _CONVERTIBLE).all(axis=1)
+            & (mperf < _CONVERTIBLE).all(axis=1)
+            & (instr < _CONVERTIBLE).all(axis=1)
+            & (core_j < _CONVERTIBLE * MICROJOULE).all(axis=1)
+            & (pkg_j < _CONVERTIBLE * MICROJOULE)
+        )
+        # int() truncates the non-negative cycle and instruction sums
+        return Counters(
+            aperf=aperf.astype(np.uint64),
+            mperf=mperf.astype(np.uint64),
+            instructions=instr.astype(np.uint64),
+            core_uj=_energy_uj(core_j),
+            pkg_uj=_energy_uj(pkg_j),
+            fits=fits,
+        )
 
 
-def _advance_group(chips: list["Chip"], n_ticks: int) -> None:
-    remaining = n_ticks
-    while remaining > 0:
-        if remaining < MIN_BATCH_TICKS:
-            for chip in chips:
-                advance_fused(chip, remaining)
-            return
-        states = [ChipArrayState(chip) for chip in chips]
-        committed = _advance_batch(states, min(remaining, MAX_BATCH_TICKS))
-        if committed == 0:
-            # the RAPL cap is clipping right now: run the fused loop for
-            # a stretch instead of re-deriving candidates one tick at a
-            # time while the cap walks
-            committed = min(remaining, RAPL_SCALAR_TICKS)
-            for chip in chips:
-                advance_fused(chip, committed)
-        remaining -= committed
+def _advance_batch(gang: _Gang, n_ticks: int) -> int:
+    """Step every chip of a prepared, gathered gang up to ``n_ticks`` in
+    place; returns the ticks committed (at least one: no RAPL cap clips
+    the first tick, :meth:`_Gang._clips`)."""
+    group = gang.stacked
+    assert group is not None
+    base_max = group.base_max
+    limited = gang.limited
+    dt = gang.dt
+    total = gang.total
+    n_chips = len(gang.chips)
+    chip_of = group.chip_of
+    rows = group.rows
+    freq = group.freq
 
+    running = gang.running
+    prev_done = gang.prev_done
+    rate0 = np.where(running, freq["rate_run"], rows["rate_idle"])
+    factor = np.where(running, freq["factor_run"], rows["factor_idle"])
+    any_budget = any(p.has_budget for p in gang.placements)
 
-#: the last gang's stacked rows, so lockstep cluster batches rebuild
-#: them only when a chip's placement changes (a chip stepped alone keeps
-#: its own, :attr:`_Placement.solo`).
-_GROUP: _Stacked | None = None
-
-
-def _group_rows(states: list[ChipArrayState]) -> _Stacked:
-    """The batch's stacked rows, with frequency rows for the live view."""
-    global _GROUP
-    if len(states) == 1:
-        placement = states[0].placement
-        group = placement.solo
-        if group is None:
-            group = _Stacked([placement], (placement.serial,))
-            placement.solo = group
+    # event split, part 1: without instruction budgets the only split
+    # trigger is a `done` flip at tick 0 (fresh assignment, external
+    # finish), detectable before any matrix work — a flip commits a
+    # single tick so the scalar dirty/refresh cascade replays exactly
+    if any_budget:
+        window = n_ticks
     else:
-        key = tuple(st.placement.serial for st in states)
-        group = _GROUP
-        if group is None or group.key != key:
-            group = _Stacked([st.placement for st in states], key)
-            # repro-lint: disable=shared-state-race — per-process memo keyed by placement serials and refreshed on view generations; each worker rebuilds identical rows from its own chips, and nothing reads it across processes
-            _GROUP = group
-    group.refresh(states)
-    return group
+        done0 = ~running
+        window = 1 if bool((done0 != prev_done).any()) else n_ticks
 
+    # per-chip simulated-time series (column c is chip c)
+    t0 = gang.time
+    t_series = kernel.seeded_accumulate(
+        t0, np.full((window, n_chips), dt, dtype=np.float64)
+    )
+    # phase factors depend only on the column's (chip start time,
+    # period, offset, amplitudes): evaluate them once per distinct key,
+    # compared bit for bit, and gather the result back to every column
+    period = rows["period_row"]
+    offset = rows["offset_row"]
+    ipc_amp = rows["ipc_amp_row"]
+    pow_amp = rows["pow_amp_row"]
+    keys = np.stack((t0[chip_of], period, offset, ipc_amp, pow_amp), axis=1)
+    reps: list[int] = []
+    key_slot: dict[bytes, int] = {}
+    inverse_list: list[int] = []
+    for col, key in enumerate(keys.view(_PHASE_KEY).ravel().tolist()):
+        if key not in key_slot:
+            key_slot[key] = len(reps)
+            reps.append(col)
+        inverse_list.append(key_slot[key])
+    inverse = np.asarray(inverse_list)
+    ipc_u, pow_u = kernel.phase_factors(
+        t_series[:window, chip_of[reps]],
+        period[reps],
+        offset[reps],
+        ipc_amp[reps],
+        pow_amp[reps],
+    )
+    cand = np.where(
+        running, kernel.retired_rows(rate0, ipc_u[:, inverse], dt), 0.0
+    )
 
-def _stack_dyn(arrays: list["np.ndarray"]) -> "np.ndarray":
-    if len(arrays) == 1:
-        return arrays[0]
-    return np.concatenate(arrays)
+    # event split, part 2: with budgets in play, scan for the earliest
+    # finishing tick; the batch runs through it inclusive (behaviour
+    # changes the tick after)
+    retired = gang.blocks[_RETIRED]
+    if any_budget:
+        budget_row = rows["budget_row"]
+        r_acc = kernel.seeded_accumulate(retired, cand)
+        hits = (cand >= (budget_row - r_acc[:window])) & running
+        first_hit = kernel.first_hit_rows(hits, window)
+        done0 = np.where(running, first_hit == 0, True)
+        if bool((done0 != prev_done).any()):
+            length = 1
+        else:
+            length = min(window, int(first_hit.min()) + 1)
+    else:
+        first_hit = None
+        length = window
+
+    # power matrix over the candidate window, and every chip's package
+    # power from one zero-padded sequential fold
+    volt = np.where(running, freq["volt_run"], rows["volt_idle"])
+    fghz = np.where(running, freq["fghz_run"], rows["fghz_idle"])
+    ceff_t = (rows["ceff_row"] * factor) * pow_u[:length, inverse]
+    power = kernel.power_rows(
+        ceff_t,
+        volt,
+        fghz,
+        rows["scale_row"],
+        rows["leak_row"],
+        rows["idle_row"],
+        running,
+    )
+    pkg = kernel.package_rows(
+        power, group.slots, n_chips, group.width, group.uncore
+    )
+
+    # RAPL: replay the EWMA/cap recurrence; a tick is only valid while
+    # the cap clears the fastest unparked base frequency (otherwise
+    # clip() would have altered effective MHz and every candidate
+    # matrix after it).  The caller's clip check guarantees tick 0 is.
+    commit = length
+    if len(limited) >= RAPL_GANG_MIN_CHIPS:
+        commit, avg_hist, cap_hist = _replay_rapl_gang(
+            gang.limiters,
+            (gang.rapl_avg[limited], gang.rapl_cap[limited],
+             gang.rapl_primed[limited]),
+            pkg[:, limited],
+            dt,
+            base_max[limited],
+            length,
+        )
+        gang.rapl_avg[limited] = avg_hist[commit]
+        gang.rapl_cap[limited] = cap_hist[commit]
+        # commit >= 1: every limiter has observed a tick
+        gang.rapl_primed[limited] = True
+    elif limited:
+        pkg_cols = pkg.T.tolist()
+        tops = base_max.tolist()
+        states = list(zip(
+            gang.rapl_avg.tolist(),
+            gang.rapl_cap.tolist(),
+            gang.rapl_primed.tolist(),
+        ))
+        replays: list[tuple[int, int, tuple[float, float, bool]]] = []
+        for i, limiter in zip(limited, gang.limiters):
+            observed, final = _replay_rapl(
+                limiter, states[i], pkg_cols[i], dt, tops[i], length
+            )
+            replays.append((i, observed, final))
+            commit = min(commit, observed)
+        for (i, observed, final), limiter in zip(replays, gang.limiters):
+            if observed != commit:
+                # a shorter global prefix committed: re-derive the
+                # control state after exactly the committed ticks
+                _, final = _replay_rapl(
+                    limiter, states[i], pkg_cols[i], dt, tops[i], commit
+                )
+            gang.rapl_avg[i], gang.rapl_cap[i], gang.rapl_primed[i] = final
+
+    # the instruction view the counters see is the candidate work except
+    # on two ticks: the finishing tick is clamped to the app's remaining
+    # budget, then (order matters) the first tick after a C6 exit is
+    # discounted by the wake-up efficiency
+    last = commit - 1
+    inst_rows: dict[int, "np.ndarray"] = {}
+    if first_hit is not None:
+        finisher = running & (first_hit == last)
+        any_finish = bool(finisher.any())
+    else:
+        finisher = None
+        any_finish = False
+    if any_finish:
+        clamped = np.maximum(budget_row - r_acc[last], 0.0)
+        inst_rows[last] = np.where(finisher, clamped, cand[last])
+    wake = (gang.cstate == _C6) & running
+    if bool(wake.any()):
+        first = inst_rows.get(0, cand[0])
+        inst_rows[0] = np.where(
+            wake & (first > 0.0), first * rows["wake_row"], first
+        )
+
+    # the last committed tick, kept for the write-back
+    gang.inst_last[:] = inst_rows.get(last, cand[last])
+    gang.ceff_last[:] = ceff_t[last]
+    gang.power_last[:] = power[last]
+    gang.pkg_last[:] = pkg[last]
+    # the view resolved at batch start; nothing refreshes it mid-batch
+    gang.eff_last[:] = group.base
+    np.copyto(gang.factor_last, factor, where=running)
+    # per-core and package energy increments: the power rows scaled by
+    # the tick in place (the same `power * dt` product)
+    energy = power[:commit]
+    energy *= dt
+    pkg_energy = pkg[:commit] * dt
+
+    # the resident running sums (the MSR-side and Core-side blocks take
+    # the same increments from different seeds; the eight fixed sums
+    # take the same increment every tick)
+    dt_running = np.where(running, dt, 0.0)
+    fixed_inc = np.concatenate(
+        (
+            dt_running,                                   # busy seconds
+            np.full(total, dt, dtype=np.float64),         # wall seconds
+            np.where(running, freq["aperf_run"], 0.0),
+            np.where(running, rows["mperf_run"], 0.0),
+            dt_running,                                   # C0 residency
+            np.where(running, 0.0, rows["c1_idle"]),
+            rows["c6_inc"],
+            dt_running,                                   # app elapsed_s
+        )
+    )
+    _fold(gang.acc, cand, inst_rows, energy, pkg_energy, fixed_inc)
+    if any_finish:
+        retired[:] = np.where(finisher, r_acc[last] + clamped, retired)
+
+    if finisher is not None:
+        done_last = np.where(running, finisher, True)
+    else:
+        done_last = ~running
+    if commit == 1:
+        flips = done_last != prev_done
+    elif commit == length and finisher is not None:
+        flips = finisher
+    else:
+        # a RAPL cut strictly precedes every budget hit (the window ran
+        # past `commit`), so no lane's done state can have flipped
+        flips = None
+    prev_done[:] = done_last
+    state = np.where(running, _C0, np.where(rows["parked_row"], _C6, _C1))
+    gang.transitions += state != gang.cstate
+    gang.cstate[:] = state
+    if any_finish:
+        running &= ~finisher
+    gang.time[:] = t_series[commit]
+    gang.times = gang.time.tolist()
+    gang.moved = [True] * n_chips
+    if flips is not None and bool(flips.any()):
+        # a load finishing (or restarting) changes the active count and
+        # hence the turbo ceiling next tick; the view refresh reads it
+        # from the objects, so the flipped chips go back to them now
+        flipped = np.flatnonzero(
+            np.logical_or.reduceat(flips, gang.starts)
+        ).tolist()
+        gang.unload(flipped)
+        for i in flipped:
+            gang.chips[i]._dirty = True
+    return commit
 
 
 def _replay_rapl(
     limiter: "RaplLimiter",
+    state: tuple[float, float, bool],
     pkg_list: list[float],
     dt: float,
     base_max: float,
@@ -487,15 +1096,17 @@ def _replay_rapl(
     """Run the limiter recurrence forward on local floats.
 
     Replicates :meth:`RaplLimiter.observe` operation-for-operation
-    (EWMA update, proportional step, cap clamp) without per-tick method
-    and attribute dispatch.  Stops before the first tick whose
-    pre-observe cap falls below ``base_max`` — from that tick on
-    ``clip()`` would alter effective frequencies and invalidate the
-    batch's candidate matrices.  Returns the number of valid ticks and
-    the control state after them; the caller writes the state back only
-    for the globally committed prefix.
+    (EWMA update, proportional step, cap clamp) from the control
+    ``state`` ``(average, cap, primed)`` — the resident one, not the
+    limiter's — without per-tick method and attribute dispatch; the
+    limit and loop constants come from ``limiter``.  Stops before the
+    first tick whose pre-observe cap falls below ``base_max`` — from
+    that tick on ``clip()`` would alter effective frequencies and
+    invalidate the batch's candidate matrices.  Returns the number of
+    valid ticks and the control state after them; the caller keeps the
+    state only for the globally committed prefix.
     """
-    avg, cap, primed = limiter.control_state()
+    avg, cap, primed = state
     config = limiter.config
     alpha = clamp(dt / config.averaging_tau_s, 0.0, 1.0)
     if cap < base_max:
@@ -537,6 +1148,7 @@ def _replay_rapl(
 
 def _replay_rapl_gang(
     limiters: list["RaplLimiter"],
+    state: tuple["np.ndarray", "np.ndarray", "np.ndarray"],
     pkg: "np.ndarray",
     dt: float,
     base_max: "np.ndarray",
@@ -544,7 +1156,8 @@ def _replay_rapl_gang(
 ) -> tuple[int, "np.ndarray", "np.ndarray"]:
     """:func:`_replay_rapl` for many limiters at once, one tick per step.
 
-    ``pkg`` is the ``(ticks, limiters)`` package power matrix and
+    ``state`` holds the limiters' average, cap and primed flag as
+    arrays, ``pkg`` is the ``(ticks, limiters)`` package power matrix and
     ``base_max`` each chip's fastest unparked base frequency.  Every
     limiter takes the same elementwise operations as in
     :func:`_replay_rapl`, so each lane is bit-identical to it.  The
@@ -552,13 +1165,9 @@ def _replay_rapl_gang(
     chip's base maximum — the gang commits one common prefix anyway.
     Returns that tick count and the ``(ticks + 1, limiters)`` average
     and cap histories (row ``k`` is the state after ``k`` ticks), so the
-    caller can write back whichever prefix commits.  Nothing is mutated
-    here.
+    caller can keep whichever prefix commits.  Nothing is mutated here.
     """
-    states = [limiter.control_state() for limiter in limiters]
-    avg = np.asarray([s[0] for s in states], dtype=np.float64)
-    cap = np.asarray([s[1] for s in states], dtype=np.float64)
-    primed = np.asarray([s[2] for s in states], dtype=bool)
+    avg, cap, primed = state
     configs = [limiter.config for limiter in limiters]
     platforms = [limiter.platform for limiter in limiters]
     f64 = np.float64
@@ -626,7 +1235,7 @@ def _fold(
     entering numpy a fixed number of times whatever the window.  A
     wider gang folds in place, tick by tick, straight from the
     matrices, and never builds a ``(ticks × sums)`` increment matrix.
-    ``acc`` may be updated in place.
+    Either way ``acc`` is updated in place and returned.
     """
     commit, t = energy.shape
     if t < STACKED_FOLD_MAX_LANES:
@@ -642,7 +1251,9 @@ def _fold(
         incs[4 * t : 5 * t] = cand[:commit].T
         incs[5 * t : 13 * t] = fixed_inc[:, None]
         incs[13 * t :] = pkg_energy.T
-        return np.add.accumulate(stacked, axis=1, out=stacked)[:, -1]
+        np.add.accumulate(stacked, axis=1, out=stacked)
+        acc[:] = stacked[:, -1]
+        return acc
     # the instruction and energy blocks are (2, lanes) views, one row
     # per seed side
     instr = acc[0 : 2 * t].reshape(2, t)
@@ -657,357 +1268,3 @@ def _fold(
         fixed += fixed_inc
         pkg_e += pkg_energy[k]
     return acc
-
-
-def _advance_batch(states: list[ChipArrayState], n_ticks: int) -> int:
-    """Step every gathered chip up to ``n_ticks``; returns ticks committed.
-
-    Returns 0 (committing nothing, building no tick matrix) only when a
-    RAPL cap already clips the very first tick — the caller then takes
-    the fused loop.
-    """
-    group = _group_rows(states)
-    for state, top in zip(states, group.base_max):
-        limiter = state.chip.rapl
-        if limiter is not None and limiter.cap_mhz < top:
-            return 0
-    dt = states[0].dt
-    total = group.total
-    n_chips = len(states)
-    chip_of = group.chip_of
-    rows = group.rows
-    freq = group.freq
-
-    running = _stack_dyn([st.running_arr for st in states])
-    prev_done = _stack_dyn(
-        [
-            np.asarray(st.chip._prev_sample_done, dtype=bool)
-            for st in states
-        ]
-    )
-    rate0 = np.where(running, freq["rate_run"], rows["rate_idle"])
-    factor = np.where(running, freq["factor_run"], rows["factor_idle"])
-    any_budget = any(st.placement.has_budget for st in states)
-
-    # event split, part 1: without instruction budgets the only split
-    # trigger is a `done` flip at tick 0 (fresh assignment, external
-    # finish), detectable before any matrix work — a flip commits a
-    # single tick so the scalar dirty/refresh cascade replays exactly
-    if any_budget:
-        window = n_ticks
-    else:
-        done0 = ~running
-        window = 1 if bool((done0 != prev_done).any()) else n_ticks
-
-    # per-chip simulated-time series (column c is chip c)
-    t0 = np.asarray([st.t0 for st in states], dtype=np.float64)
-    t_series = kernel.seeded_accumulate(
-        t0, np.full((window, n_chips), dt, dtype=np.float64)
-    )
-    # phase factors depend only on the column's (chip start time,
-    # period, offset, amplitudes): evaluate them once per distinct key,
-    # compared bit for bit, and gather the result back to every column
-    period = rows["period_row"]
-    offset = rows["offset_row"]
-    ipc_amp = rows["ipc_amp_row"]
-    pow_amp = rows["pow_amp_row"]
-    keys = np.stack((t0[chip_of], period, offset, ipc_amp, pow_amp), axis=1)
-    reps: list[int] = []
-    key_slot: dict[bytes, int] = {}
-    inverse_list: list[int] = []
-    for col, key in enumerate(keys.view(_PHASE_KEY).ravel().tolist()):
-        if key not in key_slot:
-            key_slot[key] = len(reps)
-            reps.append(col)
-        inverse_list.append(key_slot[key])
-    inverse = np.asarray(inverse_list)
-    ipc_u, pow_u = kernel.phase_factors(
-        t_series[:window, chip_of[reps]],
-        period[reps],
-        offset[reps],
-        ipc_amp[reps],
-        pow_amp[reps],
-    )
-    cand = np.where(
-        running, kernel.retired_rows(rate0, ipc_u[:, inverse], dt), 0.0
-    )
-
-    # event split, part 2: with budgets in play, scan for the earliest
-    # finishing tick; the batch runs through it inclusive (behaviour
-    # changes the tick after)
-    if any_budget:
-        budget_row = rows["budget_row"]
-        r0 = _stack_dyn(
-            [np.asarray(st.retired0, dtype=np.float64) for st in states]
-        )
-        r_acc = kernel.seeded_accumulate(r0, cand)
-        hits = (cand >= (budget_row - r_acc[:window])) & running
-        first_hit = kernel.first_hit_rows(hits, window)
-        done0 = np.where(running, first_hit == 0, True)
-        if bool((done0 != prev_done).any()):
-            length = 1
-        else:
-            length = min(window, int(first_hit.min()) + 1)
-    else:
-        first_hit = None
-        length = window
-
-    # power matrix over the candidate window, and every chip's package
-    # power from one zero-padded sequential fold
-    volt = np.where(running, freq["volt_run"], rows["volt_idle"])
-    fghz = np.where(running, freq["fghz_run"], rows["fghz_idle"])
-    ceff_t = (rows["ceff_row"] * factor) * pow_u[:length, inverse]
-    power = kernel.power_rows(
-        ceff_t,
-        volt,
-        fghz,
-        rows["scale_row"],
-        rows["leak_row"],
-        rows["idle_row"],
-        running,
-    )
-    pkg = kernel.package_rows(
-        power, group.slots, n_chips, group.width, group.uncore
-    )
-
-    # RAPL: replay the EWMA/cap recurrence; a tick is only valid while
-    # the cap clears the fastest unparked base frequency (otherwise
-    # clip() would have altered effective MHz and every candidate
-    # matrix after it).  The early return above guarantees tick 0 is.
-    limited = [i for i, st in enumerate(states) if st.chip.rapl is not None]
-    base_max = group.base_max
-    commit = length
-    if len(limited) >= RAPL_GANG_MIN_CHIPS:
-        limiters = [states[i].chip.rapl for i in limited]
-        commit, avg_hist, cap_hist = _replay_rapl_gang(
-            limiters,
-            pkg[:, limited],
-            dt,
-            np.asarray([base_max[i] for i in limited], dtype=np.float64),
-            length,
-        )
-        avg = avg_hist[commit].tolist()
-        cap = cap_hist[commit].tolist()
-        for lane, limiter in enumerate(limiters):
-            # commit >= 1: every limiter has observed a tick, so primed
-            limiter.restore_control_state((avg[lane], cap[lane], True))
-    elif limited:
-        pkg_cols = pkg.T.tolist()
-        replays: list[tuple[int, int, tuple[float, float, bool]]] = []
-        for i in limited:
-            observed, final = _replay_rapl(
-                states[i].chip.rapl, pkg_cols[i], dt, base_max[i], length
-            )
-            replays.append((i, observed, final))
-            commit = min(commit, observed)
-        for i, observed, final in replays:
-            limiter = states[i].chip.rapl
-            if observed != commit:
-                # a shorter global prefix committed: re-derive the
-                # control state after exactly the committed ticks
-                _, final = _replay_rapl(
-                    limiter, pkg_cols[i], dt, base_max[i], commit
-                )
-            limiter.restore_control_state(final)
-
-    # the instruction view the counters see is the candidate work except
-    # on two ticks: the finishing tick is clamped to the app's remaining
-    # budget, then (order matters) the first tick after a C6 exit is
-    # discounted by the wake-up efficiency
-    t = total
-    inst_rows: dict[int, "np.ndarray"] = {}
-    if first_hit is not None:
-        finisher = running & (first_hit == commit - 1)
-        any_finish = bool(finisher.any())
-    else:
-        finisher = None
-        any_finish = False
-    if any_finish:
-        clamped = np.maximum(budget_row - r_acc[commit - 1], 0.0)
-        inst_rows[commit - 1] = np.where(finisher, clamped, cand[commit - 1])
-    wake_needed = any(
-        c6 and run
-        for st in states
-        for c6, run in zip(st.prev_c6, st.running)
-    )
-    if wake_needed:
-        wake = (
-            _stack_dyn(
-                [np.asarray(st.prev_c6, dtype=bool) for st in states]
-            )
-            & running
-        )
-        first = inst_rows.get(0, cand[0])
-        inst_rows[0] = np.where(
-            wake & (first > 0.0), first * rows["wake_row"], first
-        )
-    inst_last = inst_rows.get(commit - 1, cand[commit - 1]).tolist()
-    power_last = power[commit - 1].tolist()
-    pkg_last = pkg[commit - 1].tolist()
-    # per-core and package energy increments: the power rows scaled by
-    # the tick in place (the same `power * dt` product)
-    energy = power[:commit]
-    energy *= dt
-    pkg_energy = pkg[:commit] * dt
-
-    # seeded running sums, laid out as `_fold` takes them (the MSR-side
-    # and Core-side blocks take the same increments from different
-    # seeds; the eight fixed sums take the same increment every tick)
-    seeds: list[float] = []
-    for st in states:
-        seeds.extend(st.chip._instr_total)
-    for st in states:
-        seeds.extend(core.total_instructions for core in st.chip.cores)
-    for st in states:
-        seeds.extend(st.chip.energy._core_energy_j)
-    for st in states:
-        seeds.extend(core.total_energy_j for core in st.chip.cores)
-    for st in states:
-        seeds.extend(st.retired0)
-    for st in states:
-        seeds.extend(core.total_busy_s for core in st.chip.cores)
-    for st in states:
-        seeds.extend(core.total_time_s for core in st.chip.cores)
-    for st in states:
-        seeds.extend(st.chip._aperf_cycles)
-    for st in states:
-        seeds.extend(st.chip._mperf_cycles)
-    for st in states:
-        seeds.extend(r.c0_s for r in st.chip.cstates._cores)
-    for st in states:
-        seeds.extend(r.c1_s for r in st.chip.cstates._cores)
-    for st in states:
-        seeds.extend(r.c6_s for r in st.chip.cstates._cores)
-    for st in states:
-        seeds.extend(st.elapsed0)
-    seeds.extend(st.chip.energy._pkg_energy_j for st in states)
-    dt_running = np.where(running, dt, 0.0)
-    fixed_inc = np.concatenate(
-        (
-            dt_running,                                   # busy seconds
-            np.full(t, dt, dtype=np.float64),             # wall seconds
-            np.where(running, freq["aperf_run"], 0.0),
-            np.where(running, rows["mperf_run"], 0.0),
-            dt_running,                                   # C0 residency
-            np.where(running, 0.0, rows["c1_idle"]),
-            rows["c6_inc"],
-            dt_running,                                   # app elapsed_s
-        )
-    )
-    acc = _fold(
-        np.asarray(seeds, dtype=np.float64),
-        cand,
-        inst_rows,
-        energy,
-        pkg_energy,
-        fixed_inc,
-    )
-    finals = acc.tolist()
-    i_f = finals[0:t]
-    ti_f = finals[t : 2 * t]
-    e_f = finals[2 * t : 3 * t]
-    te_f = finals[3 * t : 4 * t]
-    b_f = finals[5 * t : 6 * t]
-    tt_f = finals[6 * t : 7 * t]
-    a_f = finals[7 * t : 8 * t]
-    m_f = finals[8 * t : 9 * t]
-    c0_f = finals[9 * t : 10 * t]
-    c1_f = finals[10 * t : 11 * t]
-    c6_f = finals[11 * t : 12 * t]
-    el_f = finals[12 * t : 13 * t]
-    pkg_e_f = finals[13 * t :]
-    if any_finish:
-        r_f = np.where(
-            finisher, r_acc[commit - 1] + clamped, acc[4 * t : 5 * t]
-        ).tolist()
-    else:
-        r_f = finals[4 * t : 5 * t]
-
-    if finisher is not None:
-        done_last = np.where(running, finisher, True)
-    else:
-        done_last = ~running
-    done_list = done_last.tolist()
-    if commit == 1:
-        flip_list = (done_last != prev_done).tolist()
-    elif commit == length and finisher is not None:
-        flip_list = finisher.tolist()
-    else:
-        # a RAPL cut strictly precedes every budget hit (the window ran
-        # past `commit`), so no lane's done state can have flipped
-        flip_list = None
-    finisher_list = finisher.tolist() if any_finish else None
-
-    # commit: scatter the final values back into the object graph (the
-    # tolist() extractions above yield plain Python floats and bools —
-    # np.float64 must never leak into state)
-    ceff_last = ceff_t[commit - 1].tolist()
-    time_final = t_series[commit].tolist()
-    factor_list = factor.tolist()
-    for idx, (state, start) in enumerate(zip(states, group.starts)):
-        chip = state.chip
-        placement = state.placement
-        # the view resolved at gather time; nothing refreshes it mid-batch
-        base_list = chip._base_effective_mhz
-        loads = placement.loads
-        parked = placement.parked
-        is_running = state.running
-        aperf = chip._aperf_cycles
-        mperf = chip._mperf_cycles
-        instr_total = chip._instr_total
-        prev = chip._prev_sample_done
-        core_energy = chip.energy._core_energy_j
-        residencies = chip.cstates._cores
-        dirty = False
-        for local, core in enumerate(chip.cores):
-            g = start + local
-            cpu = core.core_id
-            if is_running[local]:
-                load = loads[local]
-                assert load is not None
-                app = load.app
-                app.retired_instructions = r_f[g]
-                app.elapsed_s = el_f[g]
-                if finisher_list is not None and finisher_list[g]:
-                    app.finished = True
-                load._factor = factor_list[g]
-                load._factor_freq = base_list[local]
-                core.effective_mhz = base_list[local]
-                core.last_sample = LoadSample(
-                    instructions=inst_last[g],
-                    busy_fraction=1.0,
-                    c_eff=ceff_last[g],
-                    done=done_list[g],
-                )
-                new_state = CState.C0
-            else:
-                core.effective_mhz = (
-                    0.0 if parked[local] else base_list[local]
-                )
-                core.last_sample = _IDLE_SAMPLE
-                new_state = CState.C6 if parked[local] else CState.C1
-            core.total_instructions = ti_f[g]
-            core.total_energy_j = te_f[g]
-            core.total_busy_s = b_f[g]
-            core.total_time_s = tt_f[g]
-            aperf[cpu] = a_f[g]
-            mperf[cpu] = m_f[g]
-            instr_total[cpu] = i_f[g]
-            core_energy[cpu] = e_f[g]
-            residency = residencies[cpu]
-            residency.c0_s = c0_f[g]
-            residency.c1_s = c1_f[g]
-            residency.c6_s = c6_f[g]
-            if new_state is not residency.current:
-                residency.transitions += 1
-                residency.current = new_state
-            prev[cpu] = done_list[g]
-            if flip_list is not None and flip_list[g]:
-                dirty = True
-        chip.last_core_powers_w = power_last[start : start + placement.n]
-        chip.last_package_power_w = pkg_last[idx]
-        chip.energy._pkg_energy_j = pkg_e_f[idx]
-        chip.time_s = time_final[idx]
-        if dirty:
-            chip._dirty = True
-    return commit

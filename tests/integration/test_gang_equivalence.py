@@ -35,6 +35,7 @@ from repro.experiments.fleet_exp import fleet_config
 from repro.hw.platform import ryzen_1700x, skylake_xeon_4114
 from repro.sim.engine import run_lockstep
 from repro.units import quantize_nearest
+from tests.unit.test_array_kernel import chip_fingerprint
 
 SKYLAKE = skylake_xeon_4114()
 RYZEN = ryzen_1700x()
@@ -107,20 +108,53 @@ GARBAGE_BOUNDARY = 8
 RELEASE_BOUNDARY = 12
 
 
+def park_first_app(stack) -> None:
+    stack.chip.park(stack.daemon.policy.apps[0].core_id, True)
+
+
+def skew_baseline(stack) -> None:
+    turbostat = stack.daemon.turbostat
+    previous = turbostat._previous
+    turbostat._previous = dataclasses.replace(
+        previous,
+        aperf=tuple((a - 10**13) % 2**64 for a in previous.aperf),
+    )
+
+
+def release_latch(stack) -> None:
+    stack.daemon.release_safe_mode()
+
+
+def clamp_rapl(stack) -> None:
+    stack.chip.set_rapl_limit(RAPL_CLAMP_W)
+
+
+def lift_rapl(stack) -> None:
+    # disabling the limit also resets its cap, a chip output
+    stack.chip.set_rapl_limit(None)
+
+
+#: node 0's hardware limit binds from this boundary ...
+CLAMP_BOUNDARY = 17
+#: ... to this one, when it is switched off
+LIFT_BOUNDARY = 19
+RAPL_CLAMP_W = 30.0
+
+#: boundary -> (node index, the outside event applied to it)
+EVENTS = {
+    PARK_BOUNDARY: (1, park_first_app),
+    GARBAGE_BOUNDARY: (2, skew_baseline),
+    RELEASE_BOUNDARY: (-2, release_latch),
+    CLAMP_BOUNDARY: (0, clamp_rapl),
+    LIFT_BOUNDARY: (0, lift_rapl),
+}
+
+
 def disturb(stacks, boundary: int) -> None:
     """The same outside events, applied to either population."""
-    if boundary == PARK_BOUNDARY:
-        stack = stacks[1]
-        stack.chip.park(stack.daemon.policy.apps[0].core_id, True)
-    if boundary == GARBAGE_BOUNDARY:
-        turbostat = stacks[2].daemon.turbostat
-        previous = turbostat._previous
-        turbostat._previous = dataclasses.replace(
-            previous,
-            aperf=tuple((a - 10**13) % 2**64 for a in previous.aperf),
-        )
-    if boundary == RELEASE_BOUNDARY:
-        stacks[-2].daemon.release_safe_mode()
+    if boundary in EVENTS:
+        index, event = EVENTS[boundary]
+        event(stacks[index])
 
 
 def observable(stack) -> dict:
@@ -178,8 +212,8 @@ def spies(monkeypatch):
     branches: dict[int, str] = {}
     run_pass = gang._run_pass
 
-    def spy_run_pass(lanes):
-        rest = run_pass(lanes)
+    def spy_run_pass(lanes, window):
+        rest = run_pass(lanes, window)
         left = {id(lane[0]) for lane in rest}
         committed[-1].update(
             id(lane[0]) for lane in lanes if id(lane[0]) not in left
@@ -240,6 +274,62 @@ def test_pass_matches_per_node_iterations_after_every_boundary(spies):
     assert left_out(recovered) == list(range(RELEASE_BOUNDARY))
     assert recovered.daemon.history[-1].health.safe_mode_entries == 1
     assert BRANCHES <= set(covered), covered
+
+
+#: daemon periods per lockstep window, as in a fleet-day epoch.
+WINDOW_PERIODS = 5
+
+
+def schedule_events(stacks, window: int) -> None:
+    """:func:`disturb`'s events of one window as one-shots, half a
+    period into the period they precede, so each fires mid-window
+    between two deadlines."""
+    first = window * WINDOW_PERIODS
+    for boundary in range(first, first + WINDOW_PERIODS):
+        if boundary in EVENTS:
+            index, event = EVENTS[boundary]
+            stack = stacks[index]
+            stack.engine.at(
+                boundary + 0.5, lambda now_s, s=stack, e=event: e(s)
+            )
+
+
+def test_multi_deadline_windows_match_per_node_stepping(spies):
+    """Fleet-day's shape: 5-period lockstep windows, outside events
+    fired mid-window as one-shots.  After every window the windowed
+    population, one written back at every deadline (1-period windows)
+    and one stepped node by node agree on every observable and every
+    chip float."""
+    committed, _ = spies
+    windowed = build_population()
+    per_deadline = build_population()
+    per_node = build_population()
+    populations = (windowed, per_deadline, per_node)
+    for window in range(BOUNDARIES // WINDOW_PERIODS):
+        for stacks in populations:
+            set_caps(stacks, window)
+            schedule_events(stacks, window)
+        committed.append(set())
+        run_lockstep(
+            [stack.engine for stack in windowed],
+            WINDOW_PERIODS * PERIOD_TICKS,
+        )
+        for _ in range(WINDOW_PERIODS):
+            run_lockstep(
+                [stack.engine for stack in per_deadline], PERIOD_TICKS
+            )
+        for stack in per_node:
+            stack.engine.run_ticks(WINDOW_PERIODS * PERIOD_TICKS)
+        assert len(committed[-1]) >= gang.DAEMON_GANG_MIN
+        for index, stacks in enumerate(zip(*populations)):
+            expected = observable(stacks[-1])
+            chip = chip_fingerprint(stacks[-1].chip)
+            for stack in stacks[:-1]:
+                assert observable(stack) == expected, (window, index)
+                assert chip_fingerprint(stack.chip) == chip, (window, index)
+    # the latch release fired mid-window and the node recovered
+    assert windowed[-2].daemon.history[-1].health.safe_mode_entries == 1
+    assert windowed[-2].daemon.mode.value == "normal"
 
 
 def test_narrow_population_takes_the_per_node_path(spies):

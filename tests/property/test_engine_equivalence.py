@@ -257,13 +257,16 @@ EXAMPLE_SKYLAKE = [
 EXAMPLE_RYZEN = [
     ({0: ("imagick", None), 3: ("cactusBSSN", 1.5e9)}, 4, None, 6)
 ]
+#: the fourth step re-targets member 5 after its 3e8-instruction load
+#: finished (a done flip) during the third, inside the held window.
 EXAMPLE_STEPS = [
-    ([(0, ("freq", 1, 0)), (5, ("freq", 0, 5))], 40),
-    ([(1, ("park", 0, None)), (5, ("park", 3, None))], 60),
+    ([(0, ("freq", 1, 0)), (5, ("freq", 0, 5))], 40, None),
+    ([(1, ("park", 0, None)), (5, ("park", 3, None))], 60, 1),
     ([(2, ("load", 1, ("cactusBSSN", None))),
       (5, ("load", 4, ("leela", 3e8))),
-      (3, ("load", 2, (None, None)))], 50),
-    ([(1, ("park", 0, None)), (2, ("freq", 2, 8))], 30),
+      (3, ("load", 2, (None, None)))], 50, None),
+    ([(1, ("park", 0, None)), (2, ("freq", 2, 8)),
+      (5, ("freq", 4, 2))], 30, 5),
 ]
 
 
@@ -278,6 +281,8 @@ EXAMPLE_STEPS = [
         st.tuples(
             st.lists(member_ops, max_size=4),
             st.integers(soa.MIN_BATCH_TICKS, 200),
+            # a member written back for a consumer before the step
+            st.one_of(st.none(), st.integers(0, 1000)),
         ),
         min_size=1,
         max_size=4,
@@ -289,18 +294,28 @@ def test_wide_gang_is_bit_identical(skylake_members, ryzen_members, steps):
     """A gang past the RAPL replay's width cut-over, stepped as one
     stacked batch, matches every chip stepped alone by the scalar loop,
     while drawn members are retargeted, parked and re-placed between
-    runs."""
+    runs.  A second gang takes every step inside one held window: the
+    ops reach it as inputs on its objects, without a write-back, and a
+    drawn member is written back mid-window as for a consumer."""
     gang = build_gang(skylake_members, ryzen_members)
+    held = build_gang(skylake_members, ryzen_members)
     solo = build_gang(skylake_members, ryzen_members)
     limited = sum(chip.rapl is not None for chip in gang)
     assert limited >= soa.RAPL_GANG_MIN_CHIPS
-    for ops, n_ticks in steps:
+    window = soa.Window(held)
+    for ops, n_ticks, consumer in steps:
+        if consumer is not None:
+            window.release(held[consumer % len(held)])
         for member, op in ops:
             index = member % len(gang)
-            apply_member_op(gang[index], op)
-            apply_member_op(solo[index], op)
+            for chips in (gang, held, solo):
+                apply_member_op(chips[index], op)
         soa.advance_chips(gang, n_ticks)
+        soa.advance_chips(held, n_ticks, window)
         for chip in solo:
             chip.advance_ticks(n_ticks)
         for alone, stacked in zip(solo, gang):
             assert chip_fingerprint(alone) == chip_fingerprint(stacked)
+    window.close()
+    for alone, resident in zip(solo, held):
+        assert chip_fingerprint(alone) == chip_fingerprint(resident)

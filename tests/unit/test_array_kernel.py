@@ -18,14 +18,14 @@ import random
 import numpy as np
 import pytest
 
-from repro.config import AppSpec, ExperimentConfig, default_engine
+from repro.config import AppSpec, ExperimentConfig, build_stack, default_engine
 from repro.errors import ConfigError, SimulationError
 from repro.hw.platform import get_platform
 from repro.hw.rapl import RaplLimiter
 from repro.sim import fused, kernel, soa
 from repro.sim.chip import Chip
 from repro.sim.core import BatchCoreLoad, LoadSample
-from repro.sim.engine import ENGINES, SimEngine
+from repro.sim.engine import ENGINES, SimEngine, run_lockstep
 from repro.workloads.app import RunningApp
 from repro.workloads.spec import spec_app
 
@@ -243,14 +243,19 @@ class TestKernels:
 
 
 def replay_scalar(limiter, powers, dt, base_max, n_ticks):
-    return soa._replay_rapl(limiter, powers, dt, base_max, n_ticks)
+    """The replay from the limiter's own control state."""
+    return soa._replay_rapl(
+        limiter, limiter.control_state(), powers, dt, base_max, n_ticks
+    )
 
 
 def replay_gang(limiter, powers, dt, base_max, n_ticks):
     """The gang-wide replay run on a gang of one, returning what
     :func:`soa._replay_rapl` returns: ticks observed, state after them."""
+    avg0, cap0, primed0 = limiter.control_state()
     observed, avg, cap = soa._replay_rapl_gang(
         [limiter],
+        (np.asarray([avg0]), np.asarray([cap0]), np.asarray([primed0])),
         np.asarray(powers, dtype=np.float64).reshape(-1, 1),
         dt,
         np.asarray([base_max]),
@@ -540,6 +545,128 @@ class TestPlacementRows:
         for level in (1, 7):
             self._period(gang, solo, level)
         assert built == []
+
+
+class TestLockstepWindow:
+    """A lockstep window gathers and writes back each chip once; only a
+    per-node consumer adds a round trip, and only for its own chip."""
+
+    PERIOD_TICKS = 200  # one 1 s daemon period at 5 ms ticks
+    WINDOW_PERIODS = 5
+
+    def _gang(self):
+        from repro.core import gang
+
+        configs = [
+            ExperimentConfig(
+                platform="skylake", policy="frequency-shares",
+                limit_w=40.0 + i,
+                apps=(AppSpec("leela", shares=25.0 * (1 + i % 4)),
+                      AppSpec("cactusBSSN", shares=50.0)),
+                tick_s=5e-3, engine="array",
+            )
+            for i in range(gang.DAEMON_GANG_MIN + 2)
+        ]
+        return [build_stack(config) for config in configs]
+
+    def _count(self, monkeypatch):
+        flushes: dict[int, int] = {}
+        gathers: dict[int, int] = {}
+        flush = Chip.flush_counters
+        gather = soa._Gang._gather
+
+        def counting_flush(chip):
+            flushes[id(chip)] = flushes.get(id(chip), 0) + 1
+            flush(chip)
+
+        def counting_gather(self, idx):
+            for i in idx:
+                key = id(self.chips[i])
+                gathers[key] = gathers.get(key, 0) + 1
+            gather(self, idx)
+
+        monkeypatch.setattr(Chip, "flush_counters", counting_flush)
+        monkeypatch.setattr(soa._Gang, "_gather", counting_gather)
+        return flushes, gathers
+
+    def _window(self, stacks):
+        run_lockstep(
+            [stack.engine for stack in stacks],
+            self.WINDOW_PERIODS * self.PERIOD_TICKS,
+        )
+
+    def test_one_gather_and_one_write_back_per_chip(self, monkeypatch):
+        stacks = self._gang()
+        self._window(stacks)  # first ticks flip idle cores' done flags
+        flushes, gathers = self._count(monkeypatch)
+        self._window(stacks)
+        chips = [id(stack.chip) for stack in stacks]
+        assert flushes == dict.fromkeys(chips, 1)
+        assert gathers == dict.fromkeys(chips, 1)
+
+    def test_fallback_adds_one_round_trip_for_its_chip(self, monkeypatch):
+        from repro.core import gang
+
+        stacks = self._gang()
+        self._window(stacks)
+        flushes, gathers = self._count(monkeypatch)
+        # the third deadline leaves one daemon to its own iteration
+        outsider = stacks[3].daemon
+        joins = gang._joins
+        calls = [0]
+
+        def joins_except_once(daemon):
+            if daemon is outsider:
+                calls[0] += 1
+                if calls[0] == 3:
+                    return False
+            return joins(daemon)
+
+        monkeypatch.setattr(gang, "_joins", joins_except_once)
+        released: list[int] = []
+        release = soa.Window.release
+
+        def recording_release(window, chip):
+            released.append(id(chip))
+            release(window, chip)
+
+        monkeypatch.setattr(soa.Window, "release", recording_release)
+        self._window(stacks)
+        assert released == [id(outsider.chip)]
+        chips = [id(stack.chip) for stack in stacks]
+        want = dict.fromkeys(chips, 1)
+        want[id(outsider.chip)] = 2
+        assert flushes == want
+        assert gathers == want
+
+    def test_one_shot_chip_is_gathered_again(self):
+        """A one-shot that switches the RAPL limit off mid-window resets
+        the limiter's cap, which the window holds: the chip is written
+        back before it fires and gathered again after."""
+        caps: list[float] = []
+
+        def lift(chip):
+            caps.append(chip.rapl.cap_mhz)
+            chip.set_rapl_limit(None)
+
+        engines = []
+        for mode in ("array", "scalar"):
+            chip = batch_chip()
+            for core in range(len(chip.cores)):
+                chip.set_requested_frequency(core, 2000.0)
+            # just below the ~22 W the chip draws at 2000 MHz: the cap
+            # walks down from the top without reaching 2000 MHz by the
+            # one-shot
+            chip.set_rapl_limit(20.0)
+            engine = SimEngine(chip, engine=mode)
+            engine.at(40 * chip.tick_s, lambda now, c=chip: lift(c))
+            engines.append(engine)
+        run_lockstep(engines[:1], 80)
+        engines[1].run_ticks(80)
+        held, solo = (engine.chip for engine in engines)
+        assert caps[0] == caps[1]
+        assert 2000.0 < caps[0] < held.platform.max_frequency_mhz
+        assert chip_fingerprint(held) == chip_fingerprint(solo)
 
 
 class TestEngineSelector:
