@@ -180,10 +180,9 @@ def measure_cluster_ticks_per_sec(
 ) -> float:
     """Aggregate node-ticks/sec of the canonical 4-node cluster.
 
-    In-process stepping (``jobs=1``) so the number measures per-node
-    simulation plus arbiter/condense overhead, not fork fan-out.  With
-    the array engine that path is the stacked stepper: every node's
-    chip advances as one batch per epoch.
+    The number measures per-node simulation plus arbiter/condense
+    overhead.  With the array engine the nodes step through the stacked
+    stepper: every node's chip advances as one batch per epoch.
     """
     from repro.cluster import run_cluster
     from repro.experiments.cluster_exp import default_cluster_config
@@ -191,7 +190,7 @@ def measure_cluster_ticks_per_sec(
     config = dataclasses.replace(default_cluster_config(), engine=engine)
     node_ticks = len(config.nodes) * int(round(sim_seconds / config.tick_s))
     start = time.perf_counter()
-    run_cluster(config, sim_seconds, jobs=1)
+    run_cluster(config, sim_seconds)
     return node_ticks / (time.perf_counter() - start)
 
 
@@ -220,7 +219,7 @@ def measure_fleet_ticks_per_sec(engine: str = "array") -> float:
     duration_s = schedule.period_epochs * config.epoch_s
     node_ticks = len(config.nodes) * int(round(duration_s / config.tick_s))
     start = time.perf_counter()
-    run_cluster(config, duration_s, jobs=1)
+    run_cluster(config, duration_s)
     return node_ticks / (time.perf_counter() - start)
 
 

@@ -37,13 +37,14 @@ the ladder must reach BROWNOUT1 and step back down to NORMAL once the
 overload clears.
 
 A determinism-sanitizer drill rides along too: the same small cluster
-is run under the serial scalar engine, the stacked array engine, and
-fork workers with per-epoch state digests recording
-(:mod:`repro.analysis.sanitizer`), and all three recordings must be
+is run on the scalar engine, stepped node by node, and on the array
+engine, stepped as one stacked batch, with per-epoch state digests
+recording (:mod:`repro.analysis.sanitizer`), and both recordings must be
 identical — any divergence is reported as the first differing epoch,
 node, and field with both values.  A fault-free cluster wider than
-``DAEMON_GANG_MIN`` repeats the check between the stacked stepper, where
-the lockstep daemon pass runs, and fork workers, where it never does.
+``DAEMON_GANG_MIN`` repeats the check, so the stacked side runs the
+lockstep daemon pass while the scalar side iterates every daemon on
+its own.
 A websearch leg compares a RAPL-bound Fig 5 stack on the scalar engine
 with the array engine, whose fused fallback steps every one of its
 ticks.
@@ -541,20 +542,20 @@ def run_brownout_drill(seed: int) -> int:
 
 
 def run_sanitizer_drill(seed: int) -> int:
-    """The determinism sanitizer must agree across every stepping mode.
+    """The determinism sanitizer must agree across both stepping modes.
 
-    Runs the same 3-node cluster three ways — serial scalar engine,
-    stacked array engine, and fork workers — with per-epoch state
-    digests on, and requires all three recordings to be identical.  On
-    divergence the sanitizer names the first epoch, node, and field
-    with both values, which is the whole point: a parallelism or
+    Runs the same 3-node cluster twice — the scalar engine stepping
+    node by node, the array engine stepping one stacked batch — with
+    per-epoch state digests on, and requires both recordings to be
+    identical.  On divergence the sanitizer names the first epoch,
+    node, and field with both values, which is the whole point: a
     vectorisation bug surfaces as a readable diff, not a byte mismatch.
 
     Three nodes never reach the lockstep daemon pass
     (:mod:`repro.core.gang`), so a fault-free cluster wider than
     ``DAEMON_GANG_MIN`` runs twice more: stacked, where the pass steps
-    its daemons, and in fork workers, where every daemon iterates on
-    its own.
+    its daemons, and on the scalar engine, where every daemon iterates
+    on its own.
     """
     import dataclasses
 
@@ -563,38 +564,30 @@ def run_sanitizer_drill(seed: int) -> int:
     from repro.core.gang import DAEMON_GANG_MIN
     from repro.experiments.cluster_exp import default_cluster_config
 
-    base = default_cluster_config(n_nodes=3, seed=seed)
     wide_nodes = DAEMON_GANG_MIN + 2
-    wide = dataclasses.replace(
-        default_cluster_config(
-            n_nodes=wide_nodes, budget_w=40.0 * wide_nodes, seed=seed
-        ),
-        engine="array",
-    )
     drills = (
-        ("", base, 100.0, (
-            ("scalar", None),  # serial reference loop
-            ("array", 1),      # stacked struct-of-arrays batch
-            ("array", 2),      # fork workers
-        )),
-        (f" ({wide_nodes} nodes, daemon pass)", wide, 40.0, (
-            ("array", 1),      # stacked: lockstep daemon pass
-            ("array", 2),      # fork workers: per-node iterations
-        )),
+        ("", default_cluster_config(n_nodes=3, seed=seed), 100.0),
+        (
+            f" ({wide_nodes} nodes, daemon pass)",
+            default_cluster_config(
+                n_nodes=wide_nodes, budget_w=40.0 * wide_nodes, seed=seed
+            ),
+            40.0,
+        ),
     )
     rc = 0
-    for label, cluster, duration_s, modes in drills:
+    for label, cluster, duration_s in drills:
         digests = []
-        for engine, jobs in modes:
+        for engine in ("scalar", "array"):
             config = dataclasses.replace(cluster, engine=engine)
-            run = run_cluster(config, duration_s, jobs=jobs, sanitize=True)
+            run = run_cluster(config, duration_s, sanitize=True)
             assert run.sanitizer is not None
             digests.append(run.sanitizer)
         divergence = compare_all(digests)
         status = "FAIL" if divergence else "ok"
         rows = len(digests[0])
-        print(f"[{status}] sanitizer drill{label}: {len(modes)} stepping "
-              f"modes, {rows} node-epoch digests each, "
+        print(f"[{status}] sanitizer drill{label}: scalar vs stacked "
+              f"array, {rows} node-epoch digests each, "
               f"digest {digests[0].digest()[:12]}")
         if divergence is not None:
             print(f"  {divergence.describe()}")

@@ -1,7 +1,7 @@
 """``repro-lint``: AST static analysis for this repo's core contracts.
 
 The reproduction leans on invariants the test suite can only
-spot-check — byte-identical serial/parallel stepping, config-pure cache
+spot-check — byte-identical serial/stacked stepping, config-pure cache
 keys, a daemon that contains every hardware fault.  This package makes
 them machine-checked: a pluggable rule registry walks every source
 file's AST and reports :class:`~repro.analysis.findings.Finding`s with

@@ -1,6 +1,6 @@
 """Determinism rule: no wall-clock or filesystem-order reads.
 
-The reproduction's core contracts — byte-identical serial/parallel
+The reproduction's core contracts — byte-identical serial/stacked
 steppers, content-addressed result caching, seeded fault replay — all
 assume a simulated run is a pure function of its config.  Wall-clock
 and filesystem-order reads break that silently: results still look

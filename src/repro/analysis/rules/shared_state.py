@@ -1,12 +1,11 @@
 """shared-state-race: no module-global writes in fork-worker code.
 
-The parallel steppers (``cluster/stepper.py``) and the experiment pool
-(``experiments/parallel.py``) fork workers and promise byte-identical
-results to a serial run.  That promise holds because every shared
-decision is made in the parent; a worker that writes module-level
-state is mutating a *copy* the parent never sees — the canonical
-silent-divergence bug (results differ by worker layout, caches go
-stale per-process, counters under-count).
+The experiment pool (``experiments/parallel.py``) forks workers and
+promises byte-identical results to a serial run.  That promise holds
+because every shared decision is made in the parent; a worker that
+writes module-level state is mutating a *copy* the parent never sees —
+the canonical silent-divergence bug (results differ by worker layout,
+caches go stale per-process, counters under-count).
 
 The rule finds fork-worker entry points structurally
 (:meth:`~repro.analysis.callgraph.Project.worker_roots`), walks the

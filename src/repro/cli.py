@@ -18,7 +18,8 @@ Usage::
 ``--quick`` shortens runs for smoke testing; results keep their shape
 but are noisier.  ``--jobs N`` (report/sweep) fans independent runs
 across N worker processes; results are deterministic and input-ordered
-regardless of N.  Completed runs are cached on disk keyed by their full
+regardless of N.  ``cluster`` and ``fleet`` step all their nodes in one
+process.  Completed runs are cached on disk keyed by their full
 config — ``--no-cache`` (or ``REPRO_NO_CACHE=1``) bypasses the cache.
 ``--faults`` replays a named, seeded fault scenario
 against the daemon (flaky MSRs, garbage counters, dropped ticks, app
@@ -264,7 +265,6 @@ def _cmd_cluster(args) -> int:
         config,
         duration_s=args.duration,
         warmup_s=min(args.duration / 3, 40.0),
-        jobs=args.jobs,
         cache=cache,
     )
     print(render_table(result.to_rows(), title=(
@@ -376,7 +376,6 @@ def _cmd_fleet(args) -> int:
             args.days * args.period * config.epoch_s
             if args.days is not None else None
         ),
-        jobs=args.jobs,
         cache=cache,
     )
     print(render_table(fleet_rollup(result), title=(
@@ -692,11 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
              "windows (see 'repro-power faults')",
     )
     cluster.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="step nodes across N worker processes (byte-identical "
-             "to serial)",
-    )
-    cluster.add_argument(
         "--no-cache", action="store_true",
         help="bypass the on-disk result cache",
     )
@@ -762,11 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--quick", action="store_true",
         help="small smoke fleet (2x2x8 nodes, short epochs)",
-    )
-    fleet.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="step nodes across N worker processes (byte-identical "
-             "to serial)",
     )
     fleet.add_argument(
         "--no-cache", action="store_true",

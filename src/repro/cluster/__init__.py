@@ -16,7 +16,8 @@ from a two-level shares tree driven by each node's demand signals
   layer (epoch-sequenced demand/grant envelopes),
 * :mod:`repro.cluster.lease`     — TTL cap leases and the node-side
   GRANTED → HOLDOVER → DEGRADED → SAFE step-down ladder,
-* :mod:`repro.cluster.stepper`   — serial / fork-parallel node stepping,
+* :mod:`repro.cluster.stepper`   — in-process node stepping, node by
+  node or stacked into one array batch,
 * :mod:`repro.cluster.journal`   — epoch-fenced write-ahead journal and
   crash recovery (journal replay reconstructs byte-identical state),
 * :mod:`repro.cluster.trace`     — per-node + global telemetry roll-up,
@@ -40,11 +41,7 @@ from repro.cluster.runtime import (
     recover_cluster_sim,
     run_cluster,
 )
-from repro.cluster.stepper import (
-    ParallelNodeStepper,
-    SerialNodeStepper,
-    make_stepper,
-)
+from repro.cluster.stepper import SerialNodeStepper, make_stepper
 from repro.cluster.trace import ClusterTrace
 from repro.cluster.transport import (
     ARBITER,
@@ -74,7 +71,6 @@ __all__ = [
     "NodeEpochReport",
     "NodeLease",
     "NodeSpec",
-    "ParallelNodeStepper",
     "RecoveredState",
     "SequenceGuard",
     "SerialNodeStepper",

@@ -85,7 +85,7 @@ class RecoveredState:
     All control-plane state as of the last fence, plus the per-epoch
     ``step`` directives needed to rebuild the node simulations by
     re-stepping them (deterministic, because every cap/safe/down/
-    restart decision was rolled in the parent and journaled).
+    restart decision was rolled in the epoch loop and journaled).
     """
 
     last_fenced_epoch: int

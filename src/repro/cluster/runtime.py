@@ -25,11 +25,12 @@ faultable — control plane:
    steps down the GRANTED → HOLDOVER → DEGRADED → SAFE ladder (a down
    node's lease observes nothing and walks the same ladder),
 5. the stepper advances every live node through the epoch under its
-   *lease-effective* cap (serially or across fork workers —
-   byte-identical either way, because every transport, lease, and
-   crash decision happens here in the parent), nodes whose lease
-   expired past its TTL run with the daemon's RAPL-backstop safe mode
-   latched, and down nodes do not run at all, and
+   *lease-effective* cap (node by node on the scalar engine, as one
+   stacked batch on the array engine — byte-identical either way,
+   because every transport, lease, and crash decision is taken here,
+   before the step), nodes whose lease expired past its TTL run with
+   the daemon's RAPL-backstop safe mode latched, and down nodes do not
+   run at all, and
 6. the :class:`~repro.cluster.trace.ClusterTrace` rolls the epoch up —
    transport health, lease states, restarts, crash recoveries — and
    the journal seals the epoch with a ``fence`` checkpoint.
@@ -128,7 +129,13 @@ class ClusterRun:
 
 
 class ClusterSim:
-    """Seeded, deterministic driver for one cluster configuration."""
+    """Seeded, deterministic driver for one cluster configuration.
+
+    Every node steps in this process.  ``jobs`` accepts only ``None``,
+    ``0`` and ``1``, which all mean exactly that; any other count
+    raises :class:`~repro.errors.ConfigError`, so no caller silently
+    loses the worker processes it asked for.
+    """
 
     def __init__(
         self,
@@ -137,32 +144,33 @@ class ClusterSim:
         jobs: int | None = None,
         sanitize: bool | None = None,
     ):
+        if jobs not in (None, 0, 1):
+            raise ConfigError(
+                f"jobs={jobs!r}: cluster nodes step in one process; "
+                f"pass None, 0 or 1"
+            )
         self.config = config
         self.arbiter = make_arbiter(config)
         self.trace = ClusterTrace()
         self.journal = Journal()
-        self._jobs = jobs
         #: determinism sanitizer (explicit flag beats REPRO_SANITIZE):
         #: records a canonical digest of every node's epoch report so
-        #: serial, stacked, and fork stepping can be diffed field by
+        #: the scalar and array engines' runs can be diffed field by
         #: field instead of "bytes differ somewhere".
         if sanitize is None:
             sanitize = sanitize_enabled()
         self.sanitizer: StateDigest | None = None
         if sanitize:
-            workers = "auto" if jobs is None else str(jobs)
-            self.sanitizer = StateDigest(
-                f"cluster/{config.engine}/jobs={workers}"
-            )
+            self.sanitizer = StateDigest(f"cluster/{config.engine}")
         self._admitted: set[str] = set()
         scenario = self._scenario(config)
         #: the transport seed derives from the cluster seed so a run
         #: replays byte-identically, salted away from node fault seeds.
         self.transport = UnreliableTransport(scenario, seed=config.seed)
         #: telemetry corruption (liars, stuck sensors, NaN bursts):
-        #: applied in the parent between stepping and sending, so the
-        #: ground-truth reports stay intact for the trace and the
-        #: corrupted stream is identical across steppers.
+        #: applied between stepping and sending, so the ground-truth
+        #: reports stay intact for the trace and the corrupted stream
+        #: is identical across steppers.
         telemetry = config.telemetry_scenario()
         self._corruptor: TelemetryCorruptor | None = None
         if telemetry is not None and not telemetry.quiet:
@@ -218,14 +226,12 @@ class ClusterSim:
 
     def _ensure_stepper(self):
         if self._stepper is None:
-            self._stepper = make_stepper(self.config, self._jobs)
+            self._stepper = make_stepper(self.config)
         return self._stepper
 
     def close(self) -> None:
-        """Release the node stepper (fork workers, if any)."""
-        if self._stepper is not None:
-            self._stepper.close()
-            self._stepper = None
+        """Drop the node stepper and with it every node's simulation."""
+        self._stepper = None
 
     # -- crash schedule ----------------------------------------------------------
 
@@ -381,8 +387,8 @@ class ClusterSim:
 
         Within each rack the first ``k`` members (rack declaration
         order) are active; the rest are idle.  Pure arithmetic on the
-        epoch counter, decided here in the parent so serial, stacked,
-        and fork stepping see the identical set.  Down nodes and
+        epoch counter, decided here rather than in the stepper so serial
+        and stacked stepping see the identical set.  Down nodes and
         un-granted nodes are excluded — crash windows outrank idleness.
         """
         if not self._sched_racks:
@@ -585,10 +591,7 @@ class ClusterSim:
 
 
 def recover_cluster_sim(
-    config: ClusterConfig,
-    journal: Journal,
-    *,
-    jobs: int | None = None,
+    config: ClusterConfig, journal: Journal
 ) -> tuple[ClusterSim, int]:
     """Rebuild a :class:`ClusterSim` from a journal after a crash.
 
@@ -597,13 +600,13 @@ def recover_cluster_sim(
     membership — is restored from the last fence, and the node
     simulations are rebuilt by re-stepping them through the journaled
     ``step`` entries (deterministic, because every cap/safe/down/
-    restart decision was journaled by the parent).  Calling
+    restart decision was journaled before its step).  Calling
     ``sim.run(duration_s, start_epoch=next_epoch)`` continues the run
     byte-identically to one that never crashed.  An empty or unfenced
     journal recovers to a cold start (``next_epoch == 0``).
     """
     state = journal.replay()
-    sim = ClusterSim(config, jobs=jobs)
+    sim = ClusterSim(config)
     sim.journal = journal
     if state.last_fenced_epoch < 0:
         return sim, 0
@@ -651,8 +654,7 @@ def run_cluster(
     config: ClusterConfig,
     duration_s: float,
     *,
-    jobs: int | None = None,
     sanitize: bool | None = None,
 ) -> ClusterRun:
     """Convenience one-shot: build a :class:`ClusterSim` and run it."""
-    return ClusterSim(config, jobs=jobs, sanitize=sanitize).run(duration_s)
+    return ClusterSim(config, sanitize=sanitize).run(duration_s)

@@ -1,82 +1,22 @@
-"""Serial and parallel node stepping with identical results.
+"""In-process node stepping: node by node, or stacked into one batch.
 
 Within one arbitration epoch the nodes are completely independent — all
 coupling flows through the caps computed *before* the epoch and the
-reports consumed *after* it — so node stepping parallelizes the same
-way the experiment batches in :mod:`repro.experiments.parallel` do.
-
-The parallel path uses persistent fork workers rather than a task pool:
-a node's simulator state must live somewhere across epochs, and
-shipping whole chips through pickles every epoch would dwarf the
-stepping work.  Each worker owns a fixed subset of nodes (round-robin
-by node index), builds them lazily at their join epoch, and answers
-``step`` commands over a pipe with the same
-:class:`~repro.cluster.node.NodeEpochReport` values the serial path
-produces.  Both paths run the identical per-node code on the identical
-cap sequence, and every cross-node reduction happens in the parent, so
-the parallel path is **byte-identical** to the serial one — the
-equivalence tests assert it.
-
-``jobs`` semantics follow :func:`repro.experiments.parallel.
-resolve_jobs`: ``None``/``0``/``1`` step serially in-process, negative
-uses every core.
+reports consumed *after* it — so one process steps the whole cluster.
+:class:`SerialNodeStepper` advances each node's engine in turn: it is
+the scalar engine's stepper and the per-node reference the tests hold
+the stacked path to.  :class:`StackedNodeStepper` advances every array
+engine together, one batch per epoch.  Both apply the same restart,
+crash-window and idle decisions, all taken by the caller before the
+step, to the same cap sequence, so their reports are **byte-identical**
+— the equivalence tests assert it.
 """
 
 from __future__ import annotations
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.node import ClusterNode, NodeEpochReport
-from repro.errors import SimulationError
-from repro.experiments.parallel import fork_context, resolve_jobs
 from repro.sim.engine import SimEngine, run_lockstep
-
-
-def _step_nodes(
-    nodes: list[ClusterNode],
-    epoch: int,
-    t0: float,
-    t1: float,
-    caps_w: dict[str, float],
-    safe_names: frozenset[str],
-    down: frozenset[str],
-    restarts: frozenset[str],
-    idle: frozenset[str],
-) -> list[NodeEpochReport]:
-    """Step one node subset — the single code path both steppers share.
-
-    ``restarts`` names nodes rebooting at this boundary (old incarnation
-    discarded, fresh stack built with the safe latch held); ``down``
-    names nodes inside a crash window — their simulation does not run
-    and they file no report, exactly like a dead machine.  ``idle``
-    names nodes the diurnal schedule left without traffic: their
-    simulation is frozen for the epoch and a synthetic idle report
-    filed instead (see :meth:`ClusterNode.idle_report`).  All three
-    sets are decided in the parent, so serial and fork-parallel
-    stepping stay byte-identical under crash and schedule faults.
-    """
-    reports: list[NodeEpochReport] = []
-    for node in nodes:
-        name = node.spec.name
-        if name in restarts:
-            node.restart()
-        if name in down:
-            continue
-        if name in caps_w and node.active_in(t0, t1):
-            if name in idle:
-                reports.append(
-                    node.idle_report(epoch, caps_w[name], t0, t1)
-                )
-                continue
-            reports.append(
-                node.step_epoch(
-                    epoch,
-                    caps_w[name],
-                    t0,
-                    t1,
-                    safe_mode=name in safe_names,
-                )
-            )
-    return reports
 
 
 class SerialNodeStepper:
@@ -98,20 +38,39 @@ class SerialNodeStepper:
         restarts: frozenset[str] = frozenset(),
         idle: frozenset[str] = frozenset(),
     ) -> dict[str, NodeEpochReport]:
-        reports = _step_nodes(
-            self.nodes, epoch, t0, t1, caps_w, safe_names, down, restarts,
-            idle,
-        )
-        return {report.name: report for report in reports}
+        """Step every live node through one epoch, one after another.
 
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "SerialNodeStepper":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        ``restarts`` names nodes rebooting at this boundary (old
+        incarnation discarded, fresh stack built with the safe latch
+        held); ``down`` names nodes inside a crash window — their
+        simulation does not run and they file no report, exactly like a
+        dead machine.  ``idle`` names nodes the diurnal schedule left
+        without traffic: their simulation is frozen for the epoch and a
+        synthetic idle report filed instead (see
+        :meth:`ClusterNode.idle_report`).  All three sets are decided by
+        the caller, so serial and stacked stepping stay byte-identical
+        under crash and schedule faults.
+        """
+        reports: dict[str, NodeEpochReport] = {}
+        for node in self.nodes:
+            name = node.spec.name
+            if name in restarts:
+                node.restart()
+            if name in down:
+                continue
+            if name in caps_w and node.active_in(t0, t1):
+                if name in idle:
+                    report = node.idle_report(epoch, caps_w[name], t0, t1)
+                else:
+                    report = node.step_epoch(
+                        epoch,
+                        caps_w[name],
+                        t0,
+                        t1,
+                        safe_mode=name in safe_names,
+                    )
+                reports[report.name] = report
+        return reports
 
 
 class StackedNodeStepper(SerialNodeStepper):
@@ -124,7 +83,7 @@ class StackedNodeStepper(SerialNodeStepper):
     process — and finally each node condenses its report.  Nodes are
     independent within an epoch, so interleaving their ticks is
     byte-identical to stepping them one after another (the equivalence
-    tests assert stacked == serial == fork-parallel).
+    tests assert stacked == serial).
     """
 
     def step(
@@ -176,122 +135,9 @@ class StackedNodeStepper(SerialNodeStepper):
         return reports
 
 
-def _worker_main(config: ClusterConfig, indices: list[int], conn) -> None:
-    """Worker loop: own a node subset, answer step commands."""
-    nodes = [ClusterNode(config, index) for index in indices]
-    try:
-        while True:
-            message = conn.recv()
-            if message[0] == "stop":
-                return
-            (
-                _, epoch, t0, t1, caps_w, safe_names, down, restarts, idle,
-            ) = message
-            try:
-                reports = _step_nodes(
-                    nodes, epoch, t0, t1, caps_w, safe_names, down, restarts,
-                    idle,
-                )
-            # worker boundary: any failure is serialized to the parent
-            # and re-raised there, so nothing is swallowed
-            # repro-lint: disable=fail-safety — exception ships to parent
-            except Exception as exc:
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
-                return
-            conn.send(("reports", reports))
-    except EOFError:  # pragma: no cover - parent died
-        return
-    finally:
-        conn.close()
-
-
-class ParallelNodeStepper:
-    """Persistent fork workers, each owning a fixed node subset."""
-
-    def __init__(self, config: ClusterConfig, n_workers: int):
-        n_workers = min(n_workers, len(config.nodes))
-        ctx = fork_context()
-        self._workers = []
-        for worker_id in range(n_workers):
-            indices = list(range(worker_id, len(config.nodes), n_workers))
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(
-                target=_worker_main,
-                args=(config, indices, child_conn),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self._workers.append((process, parent_conn))
-
-    def step(
-        self,
-        epoch: int,
-        t0: float,
-        t1: float,
-        caps_w: dict[str, float],
-        safe_names: frozenset[str] = frozenset(),
-        down: frozenset[str] = frozenset(),
-        restarts: frozenset[str] = frozenset(),
-        idle: frozenset[str] = frozenset(),
-    ) -> dict[str, NodeEpochReport]:
-        for _, conn in self._workers:
-            try:
-                conn.send(
-                    (
-                        "step", epoch, t0, t1, caps_w, safe_names, down,
-                        restarts, idle,
-                    )
-                )
-            except (BrokenPipeError, OSError) as exc:
-                self.close()
-                raise SimulationError(
-                    f"cluster worker pipe failed during epoch {epoch}: "
-                    f"{exc}"
-                ) from exc
-        reports: dict[str, NodeEpochReport] = {}
-        for _, conn in self._workers:
-            kind, payload = conn.recv()
-            if kind == "error":
-                self.close()
-                raise SimulationError(
-                    f"cluster worker failed during epoch {epoch}: {payload}"
-                )
-            for report in payload:
-                reports[report.name] = report
-        return reports
-
-    def close(self) -> None:
-        for process, conn in self._workers:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-            conn.close()
-        for process, _ in self._workers:
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
-                process.join()
-        self._workers = []
-
-    def __enter__(self) -> "ParallelNodeStepper":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def make_stepper(config: ClusterConfig, jobs: int | None):
-    """Serial stepper for <=1 job, persistent fork workers otherwise.
-
-    The in-process case upgrades to :class:`StackedNodeStepper` when the
-    config runs the array engine: all nodes' chips step as one stacked
-    batch per epoch, which beats forking for typical fleet sizes.
-    """
-    n_workers = min(resolve_jobs(jobs), len(config.nodes))
-    if n_workers <= 1:
-        if config.engine == "array":
-            return StackedNodeStepper(config)
-        return SerialNodeStepper(config)
-    return ParallelNodeStepper(config, n_workers)
+def make_stepper(config: ClusterConfig) -> SerialNodeStepper:
+    """The stacked stepper on the array engine; the serial one on the
+    scalar engine, whose chips never join an array batch."""
+    if config.engine == "array":
+        return StackedNodeStepper(config)
+    return SerialNodeStepper(config)

@@ -61,8 +61,8 @@ class ClusterTrace:
                 float(report.quarantined_cores),
             )
         # sum in sorted-name order: float addition is not associative,
-        # and the parallel stepper assembles ``reports`` in worker
-        # order, not node order
+        # and the stacked stepper files idle reports after the stepped
+        # ones, not in node order
         rec(
             "cluster.power_w",
             t_end_s,

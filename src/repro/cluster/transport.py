@@ -18,9 +18,10 @@ A seeded :class:`~repro.faults.scenario.TransportScenario` injects
 drop, N-epoch delay, duplication, per-batch reordering, and named
 node↔arbiter partitions.  Every roll comes from one ``random.Random``
 consumed in a deterministic order (senders iterate sorted names), so a
-faulty run replays byte-identically — and the serial and parallel node
+faulty run replays byte-identically — and the serial and stacked node
 steppers stay byte-identical because *all* transport logic runs in the
-parent process; workers only ever see the caps that survived delivery.
+epoch loop, outside them; steppers only ever see the caps that survived
+delivery.
 
 Receivers defend themselves with a :class:`SequenceGuard`: an envelope
 whose epoch is at or below the newest accepted from the same sender is

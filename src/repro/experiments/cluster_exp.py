@@ -191,10 +191,9 @@ def summarize_cluster_run(
             caps = trace.series(f"{spec.name}.cap_w")
             throttle = trace.series(f"{spec.name}.throttle")
         crashed = any(
-            report.crashed
+            reports[spec.name].crashed
             for reports in run.reports
-            for report in reports.values()
-            if report.name == spec.name
+            if spec.name in reports
         )
         nodes.append(
             NodeClusterResult(
@@ -278,7 +277,6 @@ def run_cluster_experiment(
     *,
     duration_s: float = 120.0,
     warmup_s: float = 40.0,
-    jobs: int | None = None,
     cache=None,
 ) -> ClusterRunResult:
     """Run (or fetch from cache) one cluster experiment."""
@@ -288,7 +286,7 @@ def run_cluster_experiment(
         hit = cache.get_cluster(config, duration_s, warmup_s)
         if hit is not None:
             return hit
-    run = run_cluster(config, duration_s, jobs=jobs)
+    run = run_cluster(config, duration_s)
     result = summarize_cluster_run(
         run, duration_s=duration_s, warmup_s=warmup_s
     )

@@ -168,7 +168,6 @@ def run_fleet_experiment(
     *,
     duration_s: float | None = None,
     warmup_s: float | None = None,
-    jobs: int | None = None,
     cache=None,
 ) -> ClusterRunResult:
     """Run (or fetch from cache) one fleet experiment.
@@ -192,7 +191,6 @@ def run_fleet_experiment(
         config,
         duration_s=duration_s,
         warmup_s=warmup_s,
-        jobs=jobs,
         cache=cache,
     )
 

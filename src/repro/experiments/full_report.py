@@ -28,10 +28,11 @@ def generate_report(
 
     ``quick=True`` shortens every run (noisier but minutes, not tens of
     minutes).  ``jobs`` fans each experiment's independent steady-state
-    runs across that many worker processes; ``use_cache`` round-trips
-    them through the on-disk result cache so a re-run skips completed
-    configs (hit/miss counts land in the footer).  Returns the report
-    text; also writes progressively to ``stream`` if given.
+    runs across that many worker processes (the cluster section steps
+    its nodes in this process); ``use_cache`` round-trips them through
+    the on-disk result cache so a re-run skips completed configs
+    (hit/miss counts land in the footer).  Returns the report text;
+    also writes progressively to ``stream`` if given.
     """
     out = io.StringIO()
     cache = ResultCache.from_env(enabled=use_cache)
@@ -191,7 +192,6 @@ def generate_report(
             if quick
             else {"duration_s": 180.0, "warmup_s": 60.0}
         ),
-        jobs=jobs,
         cache=cache,
     )
     emit(render_table(

@@ -380,7 +380,7 @@ def get_transport_scenario(
 # The transport scenarios above corrupt messages in flight; these kill
 # the *processes* at either end of the link.  Crashes are scheduled at
 # epoch granularity (the control plane's native clock) and every
-# recovery decision rolls in the ClusterSim parent, so a crashed run
+# recovery decision rolls in the ClusterSim epoch loop, so a crashed run
 # replays byte-identically — including across the write-ahead journal
 # (:mod:`repro.cluster.journal`) the recoveries redo from.
 

@@ -10,8 +10,8 @@ the facility budget, a flapping estimator, and NaN/garbage bursts.
 A :class:`TelemetryScenario` is the declarative, seeded schedule
 (mirroring :class:`~repro.faults.scenario.TransportScenario`); the
 :class:`TelemetryCorruptor` applies it to the report stream inside the
-cluster runtime's parent process, so serial, stacked, and fork-parallel
-steppers corrupt identically and a run replays byte-for-byte.  The
+cluster runtime's epoch loop, outside the node stepper, so serial and
+stacked stepping corrupt identically and a run replays byte-for-byte.  The
 defense lives on the other side of the wire in
 :mod:`repro.cluster.trust`: the corruptor only ever touches what nodes
 *say*, never what they *do* — ground truth (the simulated power draw)
@@ -215,8 +215,8 @@ def get_telemetry_scenario(
 class TelemetryCorruptor:
     """Applies one scenario to the outgoing report stream.
 
-    Runs in the cluster parent between report generation and transport
-    send, so every stepper corrupts identically.  All RNG draws (the
+    Runs in the cluster epoch loop between report generation and
+    transport send, so every stepper corrupts identically.  All RNG draws (the
     ``garbage_rate`` rolls) happen in sorted-node order; targeted
     faults consume no randomness at all.  State is the RNG plus the
     frozen first-seen reports of stuck sensors, both of which

@@ -11,7 +11,7 @@ their racks *clean* in the arbiter's dirty-subtree scheme.
 
 :class:`DiurnalSchedule` is pure arithmetic on the epoch counter — a
 cosine between the base and peak active fractions, phase-shifted per
-row — so runs replay deterministically and serial/stacked/fork
+row — so runs replay deterministically and serial and stacked
 stepping agree on who is idle.  Within a rack the first ``k`` nodes
 (rack declaration order) are active; traffic "rolls" because ``k``
 changes with the curve, not because membership shuffles.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.hw.platform import ryzen_1700x, skylake_xeon_4114
@@ -67,3 +69,20 @@ def ryzen_chip(ryzen):
 @pytest.fixture
 def chip(platform):
     return Chip(platform)
+
+
+@pytest.fixture
+def serial_stepping():
+    """Context manager: cluster sims built inside it step their nodes
+    one by one with :class:`SerialNodeStepper`, the per-node reference
+    the stacked stepper must match byte for byte."""
+    import repro.cluster.runtime as cluster_runtime
+    from repro.cluster.stepper import SerialNodeStepper
+
+    @contextlib.contextmanager
+    def serial():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cluster_runtime, "make_stepper", SerialNodeStepper)
+            yield
+
+    return serial

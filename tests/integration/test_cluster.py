@@ -2,7 +2,7 @@
 
 The acceptance criteria of the cluster layer, end to end on real
 simulated nodes: seeded determinism (byte-identical traces), the
-parallel node stepper matching serial exactly, proportional power
+stacked node stepper matching serial exactly, proportional power
 delivery across nodes, crash/join lifecycle, and the experiment +
 cache + CLI wiring.
 """
@@ -40,14 +40,15 @@ class TestDeterminism:
         b = run_cluster(config, 40.0)
         assert trace_bytes(a) == trace_bytes(b)
 
-    def test_parallel_stepper_matches_serial_exactly(self):
-        config = two_node_config()
-        serial = run_cluster(config, 40.0, jobs=1)
-        parallel = run_cluster(config, 40.0, jobs=2)
-        assert trace_bytes(serial) == trace_bytes(parallel)
-        assert serial.grants == parallel.grants
+    def test_stacked_stepper_matches_serial_exactly(self, serial_stepping):
+        config = two_node_config(engine="array")
+        stacked = run_cluster(config, 40.0)
+        with serial_stepping():
+            serial = run_cluster(config, 40.0)
+        assert trace_bytes(serial) == trace_bytes(stacked)
+        assert serial.grants == stacked.grants
 
-    def test_faulty_runs_replay_deterministically(self):
+    def test_faulty_runs_replay_deterministically(self, serial_stepping):
         config = ClusterConfig(
             budget_w=75.0,
             nodes=(
@@ -57,9 +58,11 @@ class TestDeterminism:
                          faults="flaky-msr"),
             ),
             seed=11,
+            engine="array",
         )
         a = run_cluster(config, 40.0)
-        b = run_cluster(config, 40.0, jobs=2)
+        with serial_stepping():
+            b = run_cluster(config, 40.0)
         assert trace_bytes(a) == trace_bytes(b)
 
 

@@ -15,9 +15,9 @@ simulated nodes:
   from the journal (:func:`~repro.cluster.runtime.recover_cluster_sim`)
   continues the run byte-identically — including through a journal that
   was dumped to disk and torn mid-record;
-* serial and fork-parallel stepping stay byte-identical under every
-  curated crash scenario, because every crash/restart decision is
-  rolled in the parent.
+* serial and stacked stepping stay byte-identical under every curated
+  crash scenario, because every crash/restart decision is rolled in
+  the epoch loop, before the step.
 """
 
 import dataclasses
@@ -243,15 +243,20 @@ class TestSupervisorRecovery:
 
 class TestSerialParallelEquivalence:
     @pytest.mark.parametrize("scenario", sorted(CRASH_SCENARIOS))
-    def test_byte_identical_under_crash_faults(self, scenario):
-        config = crash_config(scenario, seed=5)
-        serial = run_cluster(config, DURATION_S)
-        parallel = run_cluster(config, DURATION_S, jobs=2)
-        assert trace_bytes(serial) == trace_bytes(parallel)
-        assert grants_of(serial) == grants_of(parallel)
-        assert serial.lease_states == parallel.lease_states
+    def test_byte_identical_under_crash_faults(
+        self, scenario, serial_stepping
+    ):
+        config = dataclasses.replace(
+            crash_config(scenario, seed=5), engine="array"
+        )
+        stacked = run_cluster(config, DURATION_S)
+        with serial_stepping():
+            serial = run_cluster(config, DURATION_S)
+        assert trace_bytes(serial) == trace_bytes(stacked)
+        assert grants_of(serial) == grants_of(stacked)
+        assert serial.lease_states == stacked.lease_states
         assert (
-            serial.journal.to_jsonl() == parallel.journal.to_jsonl()
+            serial.journal.to_jsonl() == stacked.journal.to_jsonl()
         )
 
 

@@ -5,11 +5,12 @@ real simulated nodes: under every curated fault scenario the cap-sum
 invariant holds at every epoch (``check_invariant`` inside the loop
 never trips), a fully partitioned node walks its lease ladder to SAFE
 within ``lease_ttl + 1`` epochs, the healed node is re-admitted to its
-share within two epochs, and serial vs parallel steppers stay
+share within two epochs, and serial vs stacked steppers stay
 byte-identical because every transport and lease decision lives in the
-parent process.
+epoch loop, outside the stepper.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -148,17 +149,21 @@ class TestDeterminismUnderFaults:
         assert trace_bytes(a) == trace_bytes(b)
         assert a.lease_states == b.lease_states
 
-    def test_parallel_stepper_byte_identical_under_storm(self):
-        # every transport and lease decision happens in the parent, so
-        # fork workers cannot perturb the control plane
-        config = default_cluster_config(
-            n_nodes=3, transport="transport-storm", seed=5
+    def test_stacked_matches_serial(self, serial_stepping):
+        # every transport and lease decision happens in the epoch loop,
+        # so the stepper cannot perturb the control plane
+        config = dataclasses.replace(
+            default_cluster_config(
+                n_nodes=3, transport="transport-storm", seed=5
+            ),
+            engine="array",
         )
-        serial = run_cluster(config, 120.0, jobs=1)
-        parallel = run_cluster(config, 120.0, jobs=2)
-        assert trace_bytes(serial) == trace_bytes(parallel)
-        assert serial.grants == parallel.grants
-        assert serial.lease_states == parallel.lease_states
+        stacked = run_cluster(config, 120.0)
+        with serial_stepping():
+            serial = run_cluster(config, 120.0)
+        assert trace_bytes(serial) == trace_bytes(stacked)
+        assert serial.grants == stacked.grants
+        assert serial.lease_states == stacked.lease_states
 
     def test_different_transport_seeds_diverge(self):
         a = run_cluster(default_cluster_config(

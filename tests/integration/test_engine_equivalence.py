@@ -5,7 +5,8 @@ stacks: a full experiment run — daemon, policy, fault injection,
 cluster arbitration, control-plane faults, crash recovery — must
 serialize to the **same bytes** whichever engine stepped the
 simulation, and (for clusters) however the nodes were scheduled:
-serial scalar, in-process stacked array, or fork-parallel workers.
+serial scalar, stacked array, or the array engine stepped node by
+node.
 
 These tests compare JSON-serialized results/traces rather than floats
 with tolerances: the array engine's contract is bit-exactness, so any
@@ -45,7 +46,7 @@ def steady_bytes(engine: str, *, platform="skylake",
     return json.dumps(result_to_jsonable(result), sort_keys=True).encode()
 
 
-def cluster_trace_bytes(engine: str, *, jobs=None, transport=None,
+def cluster_trace_bytes(engine: str, *, transport=None,
                         crash_faults=None) -> bytes:
     from repro.cluster import run_cluster
 
@@ -55,7 +56,7 @@ def cluster_trace_bytes(engine: str, *, jobs=None, transport=None,
         ),
         engine=engine,
     )
-    run = run_cluster(config, 120.0, jobs=jobs)
+    run = run_cluster(config, 120.0)
     return json.dumps(run.trace.to_jsonable(), sort_keys=True).encode()
 
 
@@ -90,12 +91,13 @@ class TestSingleSocket:
 
 
 class TestCluster:
-    def test_stacked_serial_and_parallel_match(self):
+    def test_scalar_stacked_and_serial_match(self, serial_stepping):
         scalar = cluster_trace_bytes("scalar")
         stacked = cluster_trace_bytes("array")
-        forked = cluster_trace_bytes("array", jobs=2)
+        with serial_stepping():
+            serial = cluster_trace_bytes("array")
         assert scalar == stacked
-        assert scalar == forked
+        assert scalar == serial
 
     def test_engines_match_under_transport_faults(self):
         """Control-plane scenario: lost/duplicated grant envelopes and

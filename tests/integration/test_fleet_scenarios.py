@@ -1,7 +1,7 @@
 """Integration tests for fleet-scale hierarchical arbitration.
 
 The acceptance criteria of the fleet layer, end to end on real
-simulated nodes: byte-identical traces across serial/stacked/fork
+simulated nodes: byte-identical traces across serial and stacked
 stepping, a rack-level partition degrading exactly its own subtree,
 idle nodes never building simulation stacks, arbiter crashes invisible
 through the fleet caches, and the experiment + CLI wiring.
@@ -70,12 +70,13 @@ class TestDeterminism:
         assert [g.caps_w for g in a.grants] == [g.caps_w for g in b.grants]
         assert a.idle_sets == b.idle_sets
 
-    def test_serial_matches_fork_parallel(self):
-        config = tiny_fleet()
-        serial = cached_clean_run()
-        fork = run_cluster(config, duration_of(config), jobs=2)
-        assert trace_bytes(serial) == trace_bytes(fork)
-        assert serial.grants == fork.grants
+    def test_serial_matches_stacked(self, serial_stepping):
+        config = tiny_fleet(engine="array")
+        stacked = run_cluster(config, duration_of(config))
+        with serial_stepping():
+            serial = run_cluster(config, duration_of(config))
+        assert trace_bytes(serial) == trace_bytes(stacked)
+        assert serial.grants == stacked.grants
 
     def test_two_runs_byte_identical(self):
         config = tiny_fleet()

@@ -25,9 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.cluster.runtime as cluster_runtime
 import repro.core.gang as gang
-from repro.cluster import ClusterSim, SerialNodeStepper
+from repro.cluster import ClusterSim
 from repro.config import AppSpec, ExperimentConfig, Priority, build_stack
 from repro.core.frequency_shares import FrequencySharesPolicy
 from repro.core.minfund import Claim, proportional_targets
@@ -347,7 +346,7 @@ def test_narrow_population_takes_the_per_node_path(spies):
         assert observable(a) == observable(b)
 
 
-def test_fleet_grid_stacked_journal_matches_serial(spies, monkeypatch):
+def test_fleet_grid_stacked_journal_matches_serial(spies, serial_stepping):
     """A fleet wider than the constant, every node active: the stacked
     stepper (pass engaged) and the serial stepper (per-node iterations)
     write the same journal."""
@@ -369,14 +368,11 @@ def test_fleet_grid_stacked_journal_matches_serial(spies, monkeypatch):
     )
     duration_s = 4 * config.epoch_s
     committed.append(set())
-    stacked = ClusterSim(config, jobs=1).run(duration_s)
+    stacked = ClusterSim(config).run(duration_s)
     assert len(committed[-1]) == len(config.nodes)
-    monkeypatch.setattr(
-        cluster_runtime, "make_stepper",
-        lambda config, jobs: SerialNodeStepper(config),
-    )
     committed.append(set())
-    serial = ClusterSim(config, jobs=1).run(duration_s)
+    with serial_stepping():
+        serial = ClusterSim(config).run(duration_s)
     assert not committed[-1]
     assert stacked.journal.to_jsonl() == serial.journal.to_jsonl()
 

@@ -141,7 +141,6 @@ class TestSelfCheck:
         )
         text = out.getvalue()
         assert rc == 0
-        assert "repro.cluster.stepper._worker_main" in text
         assert "repro.experiments.parallel._run_task" in text
 
     def test_json_report_shape_over_repo(self):

@@ -14,10 +14,11 @@ real simulated nodes, for every curated scenario in
 * a partitioned node is never double-penalized: silence is the lease
   ladder's jurisdiction, so trust scores are judged only on delivered
   fresh reports;
-* serial and fork-parallel stepping stay byte-identical, and crash
+* serial and stacked stepping stay byte-identical, and crash
   recovery from the journal replays trust decisions byte-identically.
 """
 
+import dataclasses
 import functools
 import json
 import math
@@ -186,13 +187,18 @@ class TestNoDoublePenalty:
 
 class TestDeterminism:
     @pytest.mark.parametrize("scenario", sorted(TELEMETRY_SCENARIOS))
-    def test_serial_and_parallel_byte_identical(self, scenario):
-        config = telemetry_config(scenario, seed=5)
-        serial = run_cluster(config, DURATION_S)
-        parallel = run_cluster(config, DURATION_S, jobs=2)
-        assert trace_bytes(serial) == trace_bytes(parallel)
-        assert grants_of(serial) == grants_of(parallel)
-        assert serial.journal.to_jsonl() == parallel.journal.to_jsonl()
+    def test_serial_and_parallel_byte_identical(
+        self, scenario, serial_stepping
+    ):
+        config = dataclasses.replace(
+            telemetry_config(scenario, seed=5), engine="array"
+        )
+        stacked = run_cluster(config, DURATION_S)
+        with serial_stepping():
+            serial = run_cluster(config, DURATION_S)
+        assert trace_bytes(serial) == trace_bytes(stacked)
+        assert grants_of(serial) == grants_of(stacked)
+        assert serial.journal.to_jsonl() == stacked.journal.to_jsonl()
 
     def test_reseeded_garbage_changes_the_schedule(self):
         a = cached_run("liar-storm", seed=0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import ClusterSim
 from repro.cluster.config import (
     ClusterConfig,
     GroupSpec,
@@ -132,6 +133,14 @@ class TestClusterConfig:
             groups=(GroupSpec("prod", shares=3.0), GroupSpec("batch")),
         )
         assert config.group_shares() == {"prod": 3.0, "batch": 1.0}
+
+    def test_sim_accepts_only_in_process_jobs(self):
+        config = ClusterConfig(budget_w=100.0, nodes=(node(),))
+        for jobs in (None, 0, 1):
+            ClusterSim(config, jobs=jobs)
+        for jobs in (2, -1):
+            with pytest.raises(ConfigError, match=f"jobs={jobs}"):
+                ClusterSim(config, jobs=jobs)
 
 
 class TestFaultSeeds:
