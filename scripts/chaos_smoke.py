@@ -45,9 +45,10 @@ node, and field with both values.  A fault-free cluster wider than
 ``DAEMON_GANG_MIN`` repeats the check, so the stacked side runs the
 lockstep daemon pass while the scalar side iterates every daemon on
 its own.
-A websearch leg compares a RAPL-bound Fig 5 stack on the scalar engine
-with the array engine, whose fused fallback steps every one of its
-ticks.
+A websearch leg compares two Fig 5 stacks on the scalar engine with
+the array engine, whose fused fallback steps every one of their ticks:
+a RAPL-bound one (walked stretches) and a frequency-shares one
+(certified stretches).
 
 A fleet drill closes the set: a 1,024-node facility → row → rack →
 node grid runs a low-activation diurnal day with one whole rack
@@ -598,47 +599,57 @@ def run_sanitizer_drill(seed: int) -> int:
 def run_websearch_leg() -> int:
     """The array engine's fused fallback must match the scalar engine.
 
-    A co-located Fig 5 stack — websearch on nine cores beside cpuburn,
-    RAPL-bound at 40 W for 10 s — never takes the array batch; on the
-    array engine every tick runs the fused loop.  Each engine gets its
-    own digest, recorded every simulated second (the chip after each
-    ``run`` window, plus the cluster's clock, completions, queue and
-    latencies and every core's energy), so the leg runs with or without
-    ``REPRO_SANITIZE``.
+    Two co-located Fig 5 stacks — websearch on nine cores beside
+    cpuburn for 10 s — never take the array batch; on the array engine
+    every tick runs the fused fallback.  Under RAPL at 40 W the cap
+    binds, so its stretches are walked tick by tick; under frequency
+    shares (90/10) at 40 W the daemon keeps power under the limit, so
+    its stretches are certified and only the queues tick.  Each engine
+    gets its own digest per stack, recorded every simulated second (the
+    chip after each ``run`` window, plus the cluster's clock,
+    completions, queue and latencies and every core's energy), so the
+    leg runs with or without ``REPRO_SANITIZE``.
     """
     from repro.analysis.sanitizer import StateDigest, compare_all
     from repro.experiments.latency_exp import build_latency_stack
 
-    digests = []
-    for mode in ("scalar", "array"):
-        engine, _, cluster = build_latency_stack(
-            "rapl", 40.0, True, engine=mode
-        )
-        digest = StateDigest(f"websearch/{mode}")
-        engine.sanitizer = digest
-        for second in range(1, 11):
-            engine.run(1.0)
-            chip = engine.chip
-            digest.record(second, "websearch", {
-                "now": cluster.now,
-                "completed": cluster.completed_requests,
-                "queue": cluster.queue_length(),
-                "latencies": cluster.latencies(),
-                "core_energy_j": [
-                    chip.energy.core_energy_joules(core.core_id)
-                    for core in chip.cores
-                ],
-            })
-        digests.append(digest)
-    divergence = compare_all(digests)
-    status = "FAIL" if divergence else "ok"
-    print(f"[{status}] sanitizer drill (websearch at 40 W): scalar vs "
-          f"array engine, {len(digests[0])} digests each, "
-          f"digest {digests[0].digest()[:12]}")
-    if divergence is not None:
-        print(f"  {divergence.describe()}")
-        return 1
-    return 0
+    stacks = (
+        ("rapl", {}),
+        ("frequency-shares",
+         {"websearch_shares": 90.0, "cpuburn_shares": 10.0}),
+    )
+    rc = 0
+    for policy, shares in stacks:
+        digests = []
+        for mode in ("scalar", "array"):
+            engine, _, cluster = build_latency_stack(
+                policy, 40.0, True, engine=mode, **shares
+            )
+            digest = StateDigest(f"websearch/{policy}/{mode}")
+            engine.sanitizer = digest
+            for second in range(1, 11):
+                engine.run(1.0)
+                chip = engine.chip
+                digest.record(second, "websearch", {
+                    "now": cluster.now,
+                    "completed": cluster.completed_requests,
+                    "queue": cluster.queue_length(),
+                    "latencies": cluster.latencies(),
+                    "core_energy_j": [
+                        chip.energy.core_energy_joules(core.core_id)
+                        for core in chip.cores
+                    ],
+                })
+            digests.append(digest)
+        divergence = compare_all(digests)
+        status = "FAIL" if divergence else "ok"
+        print(f"[{status}] sanitizer drill (websearch, {policy} at 40 W): "
+              f"scalar vs array engine, {len(digests[0])} digests each, "
+              f"digest {digests[0].digest()[:12]}")
+        if divergence is not None:
+            print(f"  {divergence.describe()}")
+            rc = 1
+    return rc
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -113,10 +113,11 @@ def generate_report(
         run_fig12_policies,
     )
 
-    result = run_fig5_unfair_throttling(
-        **({"duration_s": 30.0, "warmup_s": 10.0} if quick else {})
+    latency_durations = (
+        {"duration_s": 30.0, "warmup_s": 10.0} if quick else {}
     )
-    emit(render_table(result.to_rows(), title="## Fig 5 — unfair throttling"))
+    fig5 = run_fig5_unfair_throttling(**latency_durations)
+    emit(render_table(fig5.to_rows(), title="## Fig 5 — unfair throttling"))
     emit()
 
     from repro.experiments.timeshare_exp import run_fig6_timeshare
@@ -157,9 +158,8 @@ def generate_report(
     emit(render_table(result.to_rows(), title="## Fig 11 — random mixes"))
     emit()
 
-    result = run_fig12_policies(
-        **({"duration_s": 30.0, "warmup_s": 10.0} if quick else {})
-    )
+    # Fig 12's RAPL runs repeat Fig 5's: hand them over
+    result = run_fig12_policies(**latency_durations, fig5=fig5)
     emit(render_table(result.to_rows(),
                       title="## Figs 12/13 — latency policies"))
     rows = []

@@ -57,6 +57,9 @@ class LatencyRun:
     mean_package_power_w: float
     websearch_freq_mhz: float
     cpuburn_freq_mhz: float | None
+    #: simulated seconds of the whole run and of its warm-up
+    duration_s: float
+    warmup_s: float
 
 
 @dataclass(frozen=True)
@@ -212,6 +215,8 @@ def _run_one(
         ),
         websearch_freq_mhz=ws_freq,
         cpuburn_freq_mhz=burn_freq,
+        duration_s=duration_s,
+        warmup_s=warmup_s,
     )
 
 
@@ -243,36 +248,40 @@ def run_fig12_policies(
     policies: tuple[str, ...] = ("frequency-shares", "performance-shares"),
     duration_s: float = 60.0,
     warmup_s: float = 20.0,
+    fig5: LatencyResult | None = None,
 ) -> LatencyResult:
     """Figs 12/13: policies vs RAPL vs alone at 90/10 shares.
 
     Returns colocated runs for each policy plus RAPL, and alone runs
     (RAPL) as the normalization baseline the paper reports above its
-    bars.
+    bars.  The RAPL runs are Fig 5's: a ``fig5`` result lends every run
+    whose policy, limit, colocation and durations match, and the rest
+    are simulated.
     """
     baseline_ips = (
         _offline_websearch_baseline_ips()
         if "performance-shares" in policies
         else None
     )
+    reusable = {
+        (run.policy, run.limit_w, run.colocated, run.duration_s,
+         run.warmup_s): run
+        for run in (fig5.runs if fig5 is not None else ())
+    }
     runs = []
     for limit in limits_w:
-        runs.append(
-            _run_one(
-                "rapl", limit, False,
-                websearch_shares=1.0, cpuburn_shares=1.0,
-                duration_s=duration_s, warmup_s=warmup_s,
-                baseline_ips=None,
+        for colocated in (False, True):
+            run = reusable.get(
+                ("rapl", limit, colocated, duration_s, warmup_s)
             )
-        )
-        runs.append(
-            _run_one(
-                "rapl", limit, True,
-                websearch_shares=1.0, cpuburn_shares=1.0,
-                duration_s=duration_s, warmup_s=warmup_s,
-                baseline_ips=None,
+            runs.append(
+                run if run is not None else _run_one(
+                    "rapl", limit, colocated,
+                    websearch_shares=1.0, cpuburn_shares=1.0,
+                    duration_s=duration_s, warmup_s=warmup_s,
+                    baseline_ips=None,
+                )
             )
-        )
         for policy in policies:
             runs.append(
                 _run_one(

@@ -130,16 +130,24 @@ def retired_rows(rate, ipc_t, dt):
     return (rate * ipc_t) * dt
 
 
-def power_rows(ceff_t, volt, f_ghz, scale, leak_coeff, idle_w, running):
+def power_rows(ceff_t, volt, f_ghz, scale, leak_coeff, idle_w, busy):
     """Per-core power matrix, replicating ``core_power_breakdown``.
 
-    Running lanes: ``scale*c_eff*V*V*f_ghz*busy + leak*V + idle*(1-busy)``
-    with ``busy == 1.0``, so the trailing identities (``* 1.0`` and
-    ``+ 0.0``) drop out bit-exactly.  Idle and parked lanes draw the
-    deep-idle floor.
+    ``busy`` is each lane's C0 fraction (a row, or one per tick).  Busy
+    lanes draw ``scale*c_eff*V*V*f_ghz*busy + leak*V + idle*(1-busy)``
+    in that association; lanes with ``busy <= 0`` (idle, parked) draw
+    the deep-idle floor.  A boolean ``busy`` marks lanes busy the whole
+    tick: with ``busy == 1.0`` the trailing identities (``* 1.0`` and
+    ``+ idle * 0.0``) drop out bit-exactly, and are skipped.
     """
     dyn = scale * ceff_t * volt * volt * f_ghz
-    return np.where(running, dyn + leak_coeff * volt, idle_w)
+    if np.result_type(busy) == np.bool_:
+        return np.where(busy, dyn + leak_coeff * volt, idle_w)
+    return np.where(
+        busy > 0.0,
+        dyn * busy + leak_coeff * volt + idle_w * (1.0 - busy),
+        idle_w,
+    )
 
 
 def first_hit_rows(hits, n_ticks):

@@ -87,5 +87,13 @@ def core_power_watts(
 
 
 def package_power_watts(platform: PlatformSpec, core_powers_w: list[float]) -> float:
-    """Package power: cores plus the uncore/DRAM-controller adder."""
-    return sum(core_powers_w) + platform.power.uncore_watts
+    """Package power: cores plus the uncore/DRAM-controller adder.
+
+    The cores are a plain left fold, ``((0.0 + p0) + p1) + ...``, spelled
+    out because ``sum`` of floats is compensated from Python 3.12 on and
+    the array engine's ``kernel.package_rows`` folds left.
+    """
+    total = 0.0
+    for power in core_powers_w:
+        total += power
+    return total + platform.power.uncore_watts

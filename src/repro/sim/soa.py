@@ -46,11 +46,14 @@ to the scalar reference.  That holds because
   prefix;
 * ticks the batch cannot take — chips with websearch clusters or
   non-batch loads (time-shared cores, cluster serving cores) or a grid
-  with fewer than two points, gaps shorter than :data:`MIN_BATCH_TICKS`,
-  and :data:`RAPL_SCALAR_TICKS` stretches while a cap clips — run the
-  fused per-tick loop (:func:`repro.sim.fused.advance_fused`), which is
-  ``Chip.tick`` on local floats.  Only ``dirty_caching=False`` reference
-  chips step through ``Chip.advance_ticks`` itself.
+  with fewer than two points, and a chip whose RAPL cap clips, until
+  the cap releases — run the fused fallback
+  (:func:`repro.sim.fused.advance_fused`), which walks the limiter
+  loop tick by tick and folds the running sums once per stretch.  Only
+  ``dirty_caching=False`` reference chips step through
+  ``Chip.advance_ticks`` itself.  A gap of any length, down to one
+  tick, takes the batch when the batch can take it: a fused stretch
+  costs more than one batch at every length.
 
 Gathering runs at three cadences:
 
@@ -86,9 +89,8 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.hw.cstates import EXIT_LATENCY_S, CState
 from repro.hw.msr import ENERGY_COUNTER_MASK
-from repro.sim import kernel
+from repro.sim import fused, kernel
 from repro.sim.core import BatchCoreLoad, IdleLoad, LoadSample
-from repro.sim.fused import advance_fused
 from repro.units import MICROJOULE, clamp
 
 if TYPE_CHECKING:
@@ -96,18 +98,10 @@ if TYPE_CHECKING:
     from repro.hw.rapl import RaplLimiter
     from repro.sim.chip import Chip
 
-#: below this many ticks the fixed numpy call overhead outweighs the
-#: vector win; the fused loop takes the gap (1-tick cadences like the
-#: thermal daemon land here automatically).
-MIN_BATCH_TICKS = 8
 #: candidate-batch ceiling: bounds the work discarded when an event
-#: (finish / RAPL bind) cuts a batch short.
+#: (finish / RAPL bind) cuts a batch short, and the memory of a fused
+#: stretch's per-tick records and matrices.
 MAX_BATCH_TICKS = 512
-#: fused-loop ticks taken after a batch commits nothing (the RAPL cap
-#: is actively clipping): the cap moves every tick there, so immediately
-#: retrying the vector path would compute and discard full candidate
-#: batches one committed tick at a time.
-RAPL_SCALAR_TICKS = 32
 #: gangs with at least this many RAPL-limited chips replay the limiter
 #: recurrence once per tick across all of them (:func:`_replay_rapl_gang`);
 #: narrower ones replay each chip on plain floats (:func:`_replay_rapl`),
@@ -470,7 +464,7 @@ class Window:
             ) or chip_supports_array(chip):
                 members.setdefault(chip.tick_s, []).append(chip)
             elif chip.dirty_caching:
-                advance_fused(chip, n_ticks)
+                fused.advance_fused(chip, n_ticks)
             else:
                 chip.advance_ticks(n_ticks)
         for tick in [t for t in self._gangs if t not in members]:
@@ -626,16 +620,13 @@ class _Gang:
     def advance(self, n_ticks: int) -> None:
         remaining = n_ticks
         while remaining > 0:
-            if remaining < MIN_BATCH_TICKS:
-                self._fused(remaining)
-                return
             stale = self._prepare()
-            if self._clips():
-                # the RAPL cap is clipping right now: run the fused loop
-                # for a stretch instead of re-deriving candidates one
-                # tick at a time while the cap walks
-                committed = min(remaining, RAPL_SCALAR_TICKS)
-                self._fused(committed)
+            leader = self._clipping()
+            if leader is not None:
+                # a RAPL cap is clipping right now and moves every tick
+                # while it does: walk that chip until its cap releases
+                # (and the others as far), then batch again
+                committed = self._fused(remaining, leader)
             else:
                 if stale:
                     self._gather(stale)
@@ -644,10 +635,18 @@ class _Gang:
                 )
             remaining -= committed
 
-    def _fused(self, n_ticks: int) -> None:
+    def _fused(self, n_ticks: int, leader: int) -> int:
+        """Walk chip ``leader`` through the fused fallback until its RAPL
+        cap releases, ``n_ticks`` at most, and every other chip as far;
+        returns the ticks run."""
         self.unload(range(len(self.chips)))
-        for chip in self.chips:
-            advance_fused(chip, n_ticks)
+        ran = fused.advance_fused(
+            self.chips[leader], n_ticks, until_release=True
+        )
+        for i, chip in enumerate(self.chips):
+            if i != leader:
+                fused.advance_fused(chip, ran)
+        return ran
 
     def _prepare(self) -> list[int]:
         """Resolve pending P-state views and bring the stacked rows up
@@ -675,17 +674,17 @@ class _Gang:
         stacked.refresh(self.chips, self.dt)
         return stale
 
-    def _clips(self) -> bool:
-        """Whether a RAPL cap is below its chip's fastest unparked base
-        frequency, so it would clip the very first tick of a batch."""
+    def _clipping(self) -> int | None:
+        """The first chip whose RAPL cap is below its fastest unparked
+        base frequency, so it would clip the very first tick of a batch."""
         assert self.stacked is not None
         base_max = self.stacked.base_max.tolist()
         caps = self.rapl_cap.tolist()
         for i, limiter in zip(self.limited, self.limiters):
             cap = limiter.cap_mhz if self.stale[i] else caps[i]
             if cap < base_max[i]:
-                return True
-        return False
+                return i
+        return None
 
     def _gather(self, idx: list[int]) -> None:
         """Load chips ``idx`` from their objects."""
@@ -855,7 +854,7 @@ class _Gang:
 def _advance_batch(gang: _Gang, n_ticks: int) -> int:
     """Step every chip of a prepared, gathered gang up to ``n_ticks`` in
     place; returns the ticks committed (at least one: no RAPL cap clips
-    the first tick, :meth:`_Gang._clips`)."""
+    the first tick, :meth:`_Gang._clipping`)."""
     group = gang.stacked
     assert group is not None
     base_max = group.base_max
@@ -1000,25 +999,27 @@ def _advance_batch(gang: _Gang, n_ticks: int) -> int:
     # budget, then (order matters) the first tick after a C6 exit is
     # discounted by the wake-up efficiency
     last = commit - 1
-    inst_rows: dict[int, "np.ndarray"] = {}
     if first_hit is not None:
         finisher = running & (first_hit == last)
         any_finish = bool(finisher.any())
     else:
         finisher = None
         any_finish = False
+    wake = (gang.cstate == _C6) & running
+    any_wake = bool(wake.any())
+    inst = cand
+    if any_finish or any_wake:
+        inst = cand[:commit].copy()
     if any_finish:
         clamped = np.maximum(budget_row - r_acc[last], 0.0)
-        inst_rows[last] = np.where(finisher, clamped, cand[last])
-    wake = (gang.cstate == _C6) & running
-    if bool(wake.any()):
-        first = inst_rows.get(0, cand[0])
-        inst_rows[0] = np.where(
-            wake & (first > 0.0), first * rows["wake_row"], first
+        inst[last] = np.where(finisher, clamped, cand[last])
+    if any_wake:
+        inst[0] = np.where(
+            wake & (inst[0] > 0.0), inst[0] * rows["wake_row"], inst[0]
         )
 
     # the last committed tick, kept for the write-back
-    gang.inst_last[:] = inst_rows.get(last, cand[last])
+    gang.inst_last[:] = inst[last]
     gang.ceff_last[:] = ceff_t[last]
     gang.power_last[:] = power[last]
     gang.pkg_last[:] = pkg[last]
@@ -1047,7 +1048,7 @@ def _advance_batch(gang: _Gang, n_ticks: int) -> int:
             dt_running,                                   # app elapsed_s
         )
     )
-    _fold(gang.acc, cand, inst_rows, energy, pkg_energy, fixed_inc)
+    _fold(gang.acc, inst, energy, cand, fixed_inc, pkg_energy)
     if any_finish:
         retired[:] = np.where(finisher, r_acc[last] + clamped, retired)
 
@@ -1209,11 +1210,11 @@ def _replay_rapl_gang(
 
 def _fold(
     acc: "np.ndarray",
-    cand: "np.ndarray",
-    inst_rows: dict[int, "np.ndarray"],
+    instr: "np.ndarray",
     energy: "np.ndarray",
+    retired: "np.ndarray",
+    fixed: "np.ndarray",
     pkg_energy: "np.ndarray",
-    fixed_inc: "np.ndarray",
 ) -> "np.ndarray":
     """The seeded sums ``acc`` after every committed tick, in tick order.
 
@@ -1221,11 +1222,12 @@ def _fold(
     RAPL per-core energy | Core energy totals | app retired work | the
     eight fixed-increment sums | package energy, ``t`` lanes per block
     (``8·t`` for the fixed sums, one per chip for package energy).
-    Tick ``k`` of the ``len(energy)`` committed ones adds
-    ``inst_rows.get(k, cand[k])`` to both instruction blocks,
-    ``energy[k]`` to both energy blocks, ``cand[k]`` to retired work,
-    ``fixed_inc`` to the fixed sums and ``pkg_energy[k]`` to package
-    energy.
+    Tick ``k`` of the ``len(energy)`` committed ones adds ``instr[k]``
+    to both instruction blocks (when ``instr`` is ``2·t`` wide, its
+    halves to the MSR and the Core block), ``energy[k]`` to both energy
+    blocks, ``retired[k]`` to retired work, ``pkg_energy[k]`` to package
+    energy, and to the fixed sums ``fixed[k]`` — or ``fixed`` itself
+    when it is one ``(8·t,)`` row, the same increment every tick.
 
     Each element is one chained ``x += inc``, bit-identical to the
     scalar loop whichever way it is iterated.  A group narrower than
@@ -1238,33 +1240,40 @@ def _fold(
     Either way ``acc`` is updated in place and returned.
     """
     commit, t = energy.shape
+    width = instr.shape[1]
     if t < STACKED_FOLD_MAX_LANES:
         stacked = np.empty((acc.size, commit + 1), dtype=np.float64)
         stacked[:, 0] = acc
         incs = stacked[:, 1:]
-        incs[0:t] = cand[:commit].T
-        for k, row in inst_rows.items():
-            incs[0:t, k] = row
-        incs[t : 2 * t] = incs[0:t]
+        incs[0:width] = instr[:commit].T
+        if width == t:
+            incs[t : 2 * t] = incs[0:t]
         incs[2 * t : 3 * t] = energy.T
         incs[3 * t : 4 * t] = incs[2 * t : 3 * t]
-        incs[4 * t : 5 * t] = cand[:commit].T
-        incs[5 * t : 13 * t] = fixed_inc[:, None]
+        incs[4 * t : 5 * t] = retired[:commit].T
+        if fixed.ndim == 2:
+            incs[5 * t : 13 * t] = fixed[:commit].T
+        else:
+            incs[5 * t : 13 * t] = fixed[:, None]
         incs[13 * t :] = pkg_energy.T
         np.add.accumulate(stacked, axis=1, out=stacked)
         acc[:] = stacked[:, -1]
         return acc
     # the instruction and energy blocks are (2, lanes) views, one row
     # per seed side
-    instr = acc[0 : 2 * t].reshape(2, t)
+    instr_acc = acc[0 : 2 * t].reshape(2, t)
+    instr_rows = instr.reshape(len(instr), width // t, t)
     core_e = acc[2 * t : 4 * t].reshape(2, t)
-    retired = acc[4 * t : 5 * t]
-    fixed = acc[5 * t : 13 * t]
+    retired_acc = acc[4 * t : 5 * t]
+    fixed_acc = acc[5 * t : 13 * t]
+    fixed_rows = (
+        fixed if fixed.ndim == 2 else np.broadcast_to(fixed, (commit, 8 * t))
+    )
     pkg_e = acc[13 * t :]
     for k in range(commit):
-        instr += inst_rows.get(k, cand[k])
+        instr_acc += instr_rows[k]
         core_e += energy[k]
-        retired += cand[k]
-        fixed += fixed_inc
+        retired_acc += retired[k]
+        fixed_acc += fixed_rows[k]
         pkg_e += pkg_energy[k]
     return acc

@@ -105,6 +105,8 @@ class WebsearchCluster:
         self._rng = random.Random(self.config.seed)
         self._queue: list[_Request] = []
         self._cores: dict[int, _CoreState] = {c: _CoreState() for c in core_ids}
+        #: (core id, state) in serving order, for the per-tick loop
+        self._serving = [(c, self._cores[c]) for c in self.core_ids]
         #: (wakeup_time, sequence) heap of thinking users.
         self._thinkers: list[tuple[float, int]] = []
         self._think_seq = 0
@@ -149,21 +151,28 @@ class WebsearchCluster:
         if dt_s <= 0:
             raise ConfigError("dt must be positive")
         end = self._now + dt_s
-        self._admit_arrivals(end)
+        thinkers = self._thinkers
+        queue = self._queue
+        if thinkers and thinkers[0][0] <= end:
+            self._admit_arrivals(end)
         cfg = self.config
-        for core_id in self.core_ids:
+        reference_mhz = cfg.reference_mhz
+        base_ipc = cfg.base_ipc
+        latencies = self._latencies
+        for core_id, state in self._serving:
             freq = core_freqs_mhz.get(core_id)
             if freq is None or freq <= 0:
                 continue  # core parked: requests wait in queue
-            state = self._cores[core_id]
+            req = state.current
+            if req is None and not queue:
+                continue  # nothing to serve
             budget = dt_s
-            scale = cfg.reference_mhz / freq  # CPU seconds -> wall seconds
+            scale = reference_mhz / freq  # CPU seconds -> wall seconds
             while budget > 1e-12:
-                if state.current is None:
-                    if not self._queue:
+                if req is None:
+                    if not queue:
                         break
-                    state.current = self._queue.pop(0)
-                req = state.current
+                    req = state.current = queue.pop(0)
                 # serve CPU part first, then memory part
                 cpu_wall = req.cpu_work_s * scale
                 if cpu_wall > budget:
@@ -171,35 +180,35 @@ class WebsearchCluster:
                     req.cpu_work_s -= consumed_cpu
                     state.busy_time_s += budget
                     state.total_busy_s += budget
-                    state.instructions += (
-                        cfg.base_ipc * freq * 1e6 * budget
-                    )
+                    state.instructions += base_ipc * freq * 1e6 * budget
                     budget = 0.0
                     break
                 budget -= cpu_wall
                 state.busy_time_s += cpu_wall
                 state.total_busy_s += cpu_wall
-                state.instructions += cfg.base_ipc * freq * 1e6 * cpu_wall
+                state.instructions += base_ipc * freq * 1e6 * cpu_wall
                 req.cpu_work_s = 0.0
-                if req.mem_work_s > budget:
-                    req.mem_work_s -= budget
+                mem_wall = req.mem_work_s
+                if mem_wall > budget:
+                    req.mem_work_s = mem_wall - budget
                     state.busy_time_s += budget
                     state.total_busy_s += budget
                     budget = 0.0
                     break
-                budget -= req.mem_work_s
-                state.busy_time_s += req.mem_work_s
-                state.total_busy_s += req.mem_work_s
+                budget -= mem_wall
+                state.busy_time_s += mem_wall
+                state.total_busy_s += mem_wall
                 finish_time = end - budget
                 # sub-tick approximation: arrivals admitted mid-tick can
                 # be served by budget that notionally preceded them;
                 # completion cannot precede submission, so clamp
                 latency = max(finish_time - req.submitted_at, 1e-9)
-                self._latencies.append(latency)
+                latencies.append(latency)
                 self._completed += 1
                 self._schedule_think(finish_time)
-                state.current = None
-                self._admit_arrivals(end)
+                req = state.current = None
+                if thinkers and thinkers[0][0] <= end:
+                    self._admit_arrivals(end)
         self._now = end
 
     # -- results ---------------------------------------------------------------

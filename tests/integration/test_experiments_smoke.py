@@ -113,3 +113,83 @@ def test_fig12_smoke():
     assert normalized_latency(result, "frequency-shares", 40.0) < (
         normalized_latency(result, "rapl", 40.0) + 0.5
     )
+
+
+#: every simulated section of the report, shortened tenfold below
+_REPORT_SECTIONS = (
+    ("repro.experiments.rapl_interference", "run_fig1_rapl_interference"),
+    ("repro.experiments.dvfs_sweep", "run_dvfs_sweep"),
+    ("repro.experiments.rapl_interference", "run_fig4_percore_dvfs"),
+    ("repro.experiments.latency_exp", "run_fig5_unfair_throttling"),
+    ("repro.experiments.timeshare_exp", "run_fig6_timeshare"),
+    ("repro.experiments.priority_exp", "run_fig7_priority_skylake"),
+    ("repro.experiments.priority_exp", "run_fig8_priority_ryzen"),
+    ("repro.experiments.shares_exp", "run_fig9_shares_skylake"),
+    ("repro.experiments.shares_exp", "run_fig10_shares_ryzen"),
+    ("repro.experiments.random_exp", "run_fig11_random_skylake"),
+    ("repro.experiments.latency_exp", "run_fig12_policies"),
+    ("repro.experiments.cluster_exp", "run_cluster_experiment"),
+)
+
+
+def test_report_simulates_each_latency_stack_once(monkeypatch):
+    """The report hands Fig 5's RAPL runs to Fig 12: one report builds
+    each distinct latency stack once, Fig 12's RAPL rows equal Fig 5's,
+    and nothing survives the call, so a second report simulates again."""
+    import importlib
+
+    from repro.experiments import latency_exp
+    from repro.experiments.full_report import generate_report
+
+    results: dict[str, list] = {}
+
+    def shortened(name, fn):
+        def run(*args, **kwargs):
+            for key in ("duration_s", "warmup_s"):
+                if key in kwargs:
+                    kwargs[key] *= 0.1
+            result = fn(*args, **kwargs)
+            results.setdefault(name, []).append(result)
+            return result
+        return run
+
+    for module, name in _REPORT_SECTIONS:
+        owner = importlib.import_module(module)
+        monkeypatch.setattr(
+            owner, name, shortened(name, getattr(owner, name))
+        )
+    stacks: list[tuple] = []
+    build = latency_exp.build_latency_stack
+
+    def counted(policy, limit_w, colocated, **kwargs):
+        stacks.append((policy, limit_w, colocated,
+                       kwargs.get("websearch_shares")))
+        return build(policy, limit_w, colocated, **kwargs)
+
+    monkeypatch.setattr(latency_exp, "build_latency_stack", counted)
+
+    first = generate_report(quick=True, use_cache=False)
+    assert len(stacks) == len(set(stacks)) == 12 + 6
+    fig5 = results["run_fig5_unfair_throttling"][0]
+    fig12 = results["run_fig12_policies"][0]
+    rapl_rows = [run for run in fig12.runs if run.policy == "rapl"]
+    assert len(rapl_rows) == 6
+    for run in rapl_rows:
+        assert run == fig5.run("rapl", run.limit_w, run.colocated)
+    # a standalone Fig 12 simulates its RAPL runs itself, bit for bit
+    stacks.clear()
+    alone = latency_exp.run_fig12_policies(
+        limits_w=(40.0,), policies=(), duration_s=30.0, warmup_s=10.0,
+    )
+    assert len(stacks) == 2
+    assert alone.runs == (
+        fig5.run("rapl", 40.0, False), fig5.run("rapl", 40.0, True)
+    )
+
+    stacks.clear()
+    second = generate_report(quick=True, use_cache=False)
+    assert len(stacks) == 12 + 6
+    strip = [line for line in first.splitlines()
+             if not line.startswith("(generated in")]
+    assert strip == [line for line in second.splitlines()
+                     if not line.startswith("(generated in")]

@@ -280,7 +280,7 @@ EXAMPLE_STEPS = [
     st.lists(
         st.tuples(
             st.lists(member_ops, max_size=4),
-            st.integers(soa.MIN_BATCH_TICKS, 200),
+            st.integers(8, 200),
             # a member written back for a consumer before the step
             st.one_of(st.none(), st.integers(0, 1000)),
         ),

@@ -1,18 +1,25 @@
 """Property tests: the array engine's fused fallback equals ``Chip.tick``.
 
 Ticks the array batch cannot take — websearch chips, time-shared
-cores, gaps shorter than ``MIN_BATCH_TICKS``, stretches where a RAPL
-cap clips — run through :func:`repro.sim.fused.advance_fused`.  Two
-chips fed the same schedule, one stepped by ``Chip.advance_ticks`` and
-one by :func:`repro.sim.soa.advance_chip`, must agree on every float
-observable (cluster state included) to the bit after every segment.
-Chips mix a websearch cluster on a random core subset, cpuburn, SPEC
-apps with and without instruction budgets, a time-shared core and
-parked cores; schedules retarget P-states, park and unpark cores and
-program RAPL limits between runs of 1-600 ticks, so short gaps, caps
-that bind and release, C6 wake-ups and ``done`` flips all occur.  The
-array-side chip's ``tick`` and ``advance_ticks`` are replaced by
-functions that fail, which proves the fallback is the fused loop.
+cores, stretches where a RAPL cap clips — run through :func:`repro.sim.fused.advance_fused`, which
+walks the feedback loop tick by tick and folds every running sum once
+per stretch.  Two chips fed the same schedule, one stepped by
+``Chip.advance_ticks`` and one by :func:`repro.sim.soa.advance_chip`,
+must agree on every float observable (cluster state included) to the
+bit after every segment.  Chips mix a websearch cluster on a random
+core subset, cpuburn, SPEC apps with and without instruction budgets, a
+time-shared core and parked cores; schedules retarget P-states, park
+and unpark cores and program RAPL limits between runs of 1-600 ticks,
+so short gaps, caps that bind and release, C6 wake-ups and ``done``
+flips all occur.  The array-side chip's ``tick`` and ``advance_ticks``
+are replaced by functions that fail, which proves the fallback is the
+fused loop.
+
+Targeted cases pin the stretch boundaries: a clipping walk that
+releases mid-run (and stops right there), certified websearch
+stretches with the limit just above or just inside the certificate's
+power bound, a budget that runs out inside a certified stretch, and a
+time-shared core in a walked stretch.
 
 One level up, a Fig 5 stack (websearch beside cpuburn under a power
 daemon) must leave the same daemon history on both engines.
@@ -20,13 +27,14 @@ daemon) must leave the same daemon history on both engines.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.latency_exp import build_latency_stack
 from repro.hw.platform import skylake_xeon_4114
 from repro.sched.timeshare import TimeShareEntry, TimeSharedCoreLoad
-from repro.sim import soa
+from repro.sim import fused, soa
 from repro.sim.chip import Chip
 from repro.sim.core import BatchCoreLoad, ClusterCoreLoad
 from repro.workloads.app import RunningApp
@@ -101,9 +109,8 @@ ops = st.one_of(
     st.tuples(st.just("park"), st.integers(0, N_CORES - 1), st.none()),
     st.tuples(st.just("rapl"), st.sampled_from(RAPL_LIMITS), st.none()),
     st.tuples(st.just("run"), st.integers(1, 600), st.none()),
-    # short gaps below the batch threshold
-    st.tuples(st.just("run"), st.integers(1, soa.MIN_BATCH_TICKS),
-              st.none()),
+    # short gaps: one-tick cadences and the like
+    st.tuples(st.just("run"), st.integers(1, 8), st.none()),
 )
 
 
@@ -176,7 +183,7 @@ def apply(chip, op, *, array: bool) -> None:
 
 #: a batch-only chip (no cluster, no time-shared core) under a limit
 #: that binds: the array batch exits on the clipped cap and the fused
-#: loop takes ``RAPL_SCALAR_TICKS`` stretches until the limit lifts
+#: loop walks the chip until the cap releases
 BATCH_UNDER_CAP = {
     "tick_s": 1e-3,
     "serving": frozenset(),
@@ -205,6 +212,24 @@ WEBSEARCH_MIX = {
 }
 
 
+#: two cpuburn copies at different P-states under a binding cap (one
+#: clipped, one below the cap: equal models, different power) that a
+#: higher limit releases a few ticks into a run
+CLIP_RELEASE = dict(
+    BATCH_UNDER_CAP,
+    loads=[("cpuburn",), ("spec", "leela", None),
+           ("spec", "cactusBSSN", 5e8), ("cpuburn",), ("idle",),
+           ("spec", "omnetpp", 2e9), ("idle",), ("idle",),
+           ("spec", "gcc", None), ("idle",)],
+)
+#: a time-shared core among batch apps under a binding cap
+TIMESHARE_UNDER_CAP = dict(
+    BATCH_UNDER_CAP,
+    tick_s=5e-3,
+    timeshare=(9, False, [("gcc", None), ("leela", 3e8)]),
+)
+
+
 @given(chips, st.lists(ops, min_size=4, max_size=20))
 @example(BATCH_UNDER_CAP, [("run", 400, None), ("run", 3, None),
                            ("park", 0, None), ("run", 250, None),
@@ -213,6 +238,11 @@ WEBSEARCH_MIX = {
                          ("run", 5, None), ("freq", 7, FREQS[-1]),
                          ("run", 600, None), ("rapl", 85.0, None),
                          ("run", 200, None)])
+@example(CLIP_RELEASE, [("freq", 3, FREQS[4]), ("run", 400, None),
+                        ("rapl", 55.0, None), ("run", 600, None),
+                        ("run", 300, None)])
+@example(TIMESHARE_UNDER_CAP, [("run", 350, None), ("freq", 9, FREQS[2]),
+                               ("run", 500, None)])
 @settings(max_examples=40, deadline=None)
 def test_fused_fallback_is_bit_identical(spec, schedule):
     scalar = build_chip(spec)
@@ -246,3 +276,83 @@ def test_fig5_stack_daemon_history_matches(policy, limit_w):
     assert fig5_history(policy, limit_w, "scalar") == (
         fig5_history(policy, limit_w, "array")
     )
+
+
+def _stretch_kinds(monkeypatch) -> list[tuple[bool, bool]]:
+    """Record each fused stretch as (certified, a budget ran out)."""
+    kinds: list[tuple[bool, bool]] = []
+    walk = fused._walk
+
+    def spy(chip, lanes, max_ticks, certified, until_release):
+        out = walk(chip, lanes, max_ticks, certified, until_release)
+        kinds.append((certified, bool(out.finished)))
+        return out
+
+    monkeypatch.setattr(fused, "_walk", spy)
+    return kinds
+
+
+def test_walk_stops_where_the_cap_releases():
+    """A clipping chip is walked until its cap clears the fastest base
+    frequency and not a tick further: the scalar twin's cap still clips
+    one tick earlier."""
+    scalar = build_chip(CLIP_RELEASE)
+    array = build_chip(CLIP_RELEASE)
+    for chip in (scalar, array):
+        chip.set_requested_frequency(3, FREQS[4])
+    scalar.advance_ticks(400)
+    soa.advance_chip(array, 400)
+    for chip in (scalar, array):
+        chip.set_rapl_limit(55.0)
+    ran = fused.advance_fused(array, 600, until_release=True)
+    assert 1 < ran < 600
+    base_max = max(array._base_effective_mhz)
+    scalar.advance_ticks(ran - 1)
+    assert scalar.rapl.cap_mhz < base_max
+    scalar.advance_ticks(1)
+    assert scalar.rapl.cap_mhz >= base_max
+    assert chip_fingerprint(scalar) == chip_fingerprint(array)
+    # not clipping: nothing to walk
+    assert fused.advance_fused(array, 600, until_release=True) == 0
+
+
+#: websearch on six cores at 2 GHz beside cpuburn and a SPEC app whose
+#: budget runs out a few hundred ticks in
+WEBSEARCH_BOUND = {
+    "tick_s": 2e-3,
+    "serving": frozenset(range(6)),
+    "websearch": WebsearchConfig(n_users=120, seed=5),
+    "loads": [("idle",)] * 6 + [("cpuburn",), ("spec", "leela", 1e9),
+                                ("idle",), ("idle",)],
+    "timeshare": None,
+    "parked": set(),
+    "limit": None,
+    "level": 8,
+}
+
+
+@pytest.mark.parametrize("headroom, certified", [
+    (1e-6, True),     # just above the bound: certified
+    (1e-12, False),   # above the bound but inside the margin: walked
+    (-1e-3, False),   # just below the bound: walked
+])
+def test_stretches_at_the_certificate_bound(monkeypatch, headroom, certified):
+    """The limit sits next to the certificate's package power bound: a
+    stretch is certified only with the margin to spare, the SPEC app's
+    budget runs out inside one (which ends there), and either way the
+    chip matches the scalar twin bit for bit."""
+    scalar = build_chip(WEBSEARCH_BOUND)
+    array = build_chip(WEBSEARCH_BOUND)
+    array._refresh_pstate_view()
+    bound = fused._Lanes(array).bound()
+    for chip in (scalar, array):
+        chip.rapl.set_limit(bound * (1.0 + headroom))
+    array.tick = _refuse
+    array.advance_ticks = _refuse
+    kinds = _stretch_kinds(monkeypatch)
+    for n in (600, 300, 5):
+        scalar.advance_ticks(n)
+        soa.advance_chip(array, n)
+        assert chip_fingerprint(scalar) == chip_fingerprint(array)
+    assert [kind for kind, finish in kinds if finish] == [certified]
+    assert array.cores[7].load.app.finished

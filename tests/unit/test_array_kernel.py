@@ -146,8 +146,9 @@ class TestKernels:
     def test_fold_matches_scalar_chain_along_either_axis(self):
         """The commit fold stacks narrow groups and folds wide gangs
         tick by tick; both ways must equal one chained ``x += inc`` per
-        sum, in the layout ``_fold`` documents, with substituted
-        instruction rows."""
+        sum, in the layout ``_fold`` documents — with one instruction
+        row for both seed sides or one per side, and with the fixed sums
+        taking one row every tick or per-tick rows."""
         rng = random.Random(5)
         chips = 2
 
@@ -160,23 +161,29 @@ class TestKernels:
             cand = [draw(lanes) for _ in range(5)]
             energy = [draw(lanes) for _ in range(5)]
             pkg_energy = [draw(chips) for _ in range(5)]
-            fixed_inc = draw(8 * lanes)
             seeds = draw(13 * lanes + chips)
-            for ticks in (5, 2):
-                inst_rows = {0: draw(lanes), ticks - 1: draw(lanes)}
-                inst = [inst_rows.get(k, cand[k]) for k in range(ticks)]
+            for ticks, sides, per_tick_fixed in (
+                (5, 1, False), (2, 2, True), (5, 2, False), (2, 1, True),
+            ):
+                inst = [draw(sides * lanes) for _ in range(ticks)]
+                fixed = [draw(8 * lanes) for _ in range(ticks)]
+                if not per_tick_fixed:
+                    fixed = [fixed[0]] * ticks
+                # one row serves both instruction blocks; two are the
+                # MSR-side then the Core-side block
                 per_tick = [
-                    inst[k] + inst[k] + energy[k] + energy[k] + cand[k]
-                    + fixed_inc + pkg_energy[k]
+                    (inst[k] + inst[k] if sides == 1 else inst[k])
+                    + energy[k] + energy[k] + cand[k] + fixed[k]
+                    + pkg_energy[k]
                     for k in range(ticks)
                 ]
                 out = soa._fold(
                     np.asarray(seeds),
-                    np.asarray(cand),
-                    {k: np.asarray(row) for k, row in inst_rows.items()},
+                    np.asarray(inst),
                     np.asarray(energy[:ticks]),
+                    np.asarray(cand),
+                    np.asarray(fixed if per_tick_fixed else fixed[0]),
                     np.asarray(pkg_energy[:ticks]),
-                    np.asarray(fixed_inc),
                 )
                 for col, acc in enumerate(seeds):
                     for row in per_tick:
@@ -208,6 +215,41 @@ class TestKernels:
                     expected = sum(row[start : start + n]) + uncore[c]
                     assert out[t, c].hex() == expected.hex(), sizes
                     start += n
+
+    def test_power_rows_match_core_power_watts(self):
+        """Busy fractions (a websearch lane's) and boolean busy masks (a
+        batch lane's) both reproduce ``core_power_watts`` bit for bit."""
+        from repro.sim.power_model import core_power_watts
+
+        platform = get_platform("skylake")
+        power = platform.power
+        freqs = [800.0, 1433.7, 2200.0, 3000.0]
+        busy = [[0.0, 0.25, 1.0, 0.999], [1.0, 0.0, 1e-9, 0.5]]
+        ceff = [[0.62, 1.1, 2.8, 0.3], [0.9, 0.62, 1.7, 2.2]]
+        volt = np.asarray(
+            [platform.pstates.voltage_for_frequency(f) for f in freqs]
+        )
+        f_ghz = np.asarray(freqs) / 1000.0
+        args = (power.c_eff_scale, power.leak_coeff_w_per_v,
+                power.idle_core_watts)
+        rows = kernel.power_rows(
+            np.asarray(ceff), volt, f_ghz, *args, np.asarray(busy)
+        )
+        masked = kernel.power_rows(
+            np.asarray(ceff), volt, f_ghz, *args, np.asarray(busy) >= 1.0
+        )
+        for t in range(2):
+            for i, freq in enumerate(freqs):
+                b = busy[t][i]
+                expected = core_power_watts(
+                    platform, freq if b > 0 else 0.0, ceff[t][i], b,
+                    active=b > 0,
+                )
+                assert rows[t, i].hex() == expected.hex()
+                if b >= 1.0:
+                    assert masked[t, i].hex() == expected.hex()
+                else:
+                    assert masked[t, i] == power.idle_core_watts
 
     def test_phase_factors_match_scalar_formula(self):
         times = np.asarray([[0.0, 0.5], [1.25, 3.0]])
@@ -393,11 +435,19 @@ class TestSupportGates:
         soa.advance_chip(chips[1], 100)  # silently takes the scalar loop
         assert chip_fingerprint(chips[0]) == chip_fingerprint(chips[1])
 
-    def test_tiny_batches_take_the_scalar_loop(self):
+    def test_tiny_gaps_take_the_batch(self, monkeypatch):
+        """A fused stretch costs more than a batch at every length, so
+        gaps down to one tick take the batch when the chip supports it."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tiny gap took the fused fallback")
+
         a, b = batch_chip(), batch_chip()
-        a.advance_ticks(soa.MIN_BATCH_TICKS - 1)
-        soa.advance_chip(b, soa.MIN_BATCH_TICKS - 1)
-        assert chip_fingerprint(a) == chip_fingerprint(b)
+        monkeypatch.setattr(fused, "advance_fused", refuse)
+        for n in (1, 2, 7):
+            a.advance_ticks(n)
+            soa.advance_chip(b, n)
+            assert chip_fingerprint(a) == chip_fingerprint(b)
 
     def test_fused_loop_refuses_reference_mode(self):
         """The fused loop resolves the P-state view once per window, so

@@ -1,5 +1,7 @@
 """Tests for the analytic power model."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -95,6 +97,22 @@ class TestPackagePower:
         assert package_power_watts(platform, []) == (
             platform.power.uncore_watts
         )
+
+    def test_cores_fold_left_whatever_sum_does(self, platform, monkeypatch):
+        """The cores are a plain left fold, as ``kernel.package_rows``
+        folds them; ``sum`` of floats is compensated from Python 3.12 on
+        (there these powers sum to 3.5999999999999996, left-folded to
+        3.5), so the module must not call it.  Shadowing ``sum`` with
+        ``math.fsum`` makes any Python behave like 3.12 here."""
+        from repro.sim import power_model
+
+        monkeypatch.setattr(power_model, "sum", math.fsum, raising=False)
+        powers = [0.1, 1e16, -1e16, 0.2, 3.3]
+        expected = 0.0
+        for power in powers:
+            expected += power
+        expected += platform.power.uncore_watts
+        assert package_power_watts(platform, powers).hex() == expected.hex()
 
     def test_skylake_tdp_anchor(self, skylake):
         """Ten cactusBSSN-class cores at nominal max should land near the
