@@ -65,17 +65,19 @@ Exits nonzero on any violation.  Intended for CI::
     PYTHONPATH=src python scripts/chaos_smoke.py --check
     PYTHONPATH=src python scripts/chaos_smoke.py --duration 600 --seed 11
 
-``--check`` is the CI gate: storm invariants plus the committed
-``BENCH_sim.json`` throughput floors (single-socket, cluster, *and*
-fleet ticks/sec, via ``bench.check_regression``).  Without it the
-bench gate still runs by default; ``--skip-bench`` drops it for quick
-local runs.
+``--check`` is the CI gate: the drills above plus the benchmark gates,
+which run ``perfbench/run.py --trace 1`` and read its result line (see
+:func:`run_benchmark_gates`).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
+import subprocess
 import sys
+from pathlib import Path
 
 from repro.config import AppSpec, ExperimentConfig, build_stack
 from repro.errors import FaultConfigError
@@ -90,6 +92,34 @@ SETTLE_S = 10.0
 TOLERANCE_W = 5.0
 
 PLATFORM_LIMITS = {"skylake": 50.0, "ryzen": 60.0}
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: the benchmark seed the gates run: its fleet-day and control-plane
+#: outputs are committed under ``perfbench/expected/``.
+BENCH_SEED = 1
+
+#: ceiling on ``cluster.trust.self_pct`` — telemetry validation's share
+#: of a traced control-plane run, percent (about twice its reading).
+TRUST_SELF_PCT_LIMIT = 4.0
+
+#: a gate run still going after this long has lost a fast path (the
+#: slowest, control-plane, takes under a minute).
+BENCH_TIMEOUT_S = 600.0
+
+#: per gate: workload, scale, and the inclusive (low, high) bounds each
+#: per-layer reading of its ``--trace 1`` run must meet.
+BENCH_GATES: tuple[tuple[str, str, dict[str, tuple[float, float]]], ...] = (
+    ("fleet-day", "full", {
+        "sim.chip.scalar.calls": (0, 0),
+        "core.daemon.calls": (0, 0),
+        "sim.engine.calls": (8, 8),
+    }),
+    ("paper-quick", "toy", {"sim.chip.scalar.calls": (0, 0)}),
+    ("control-plane", "full", {
+        "cluster.trust.self_pct": (0.0, TRUST_SELF_PCT_LIMIT),
+    }),
+)
 
 
 def run_one(platform: str, limit_w: float, scenario: str, seed: int,
@@ -652,24 +682,78 @@ def run_websearch_leg() -> int:
     return rc
 
 
+def run_benchmark_gates() -> int:
+    """Exact outputs, fast paths taken and the validator's share.
+
+    Each gate runs ``perfbench/run.py --trace 1`` (one untraced and one
+    traced pass) and reads its result line.  The run must be
+    ``correct``: both passes match the committed expected output —
+    fleet-day's and control-plane's per-epoch journal digests, the toy
+    quick report — so a fleet that steps its idle nodes instead of
+    skipping them fails here.  Its per-layer counts must show the fast
+    paths taken: no scalar chip tick (the array batch or the fused
+    fallback ran every tick), and on fleet-day no per-node daemon
+    iteration and one ``run_lockstep`` per epoch (the gang pass stepped
+    every daemon).  Telemetry validation must stay within
+    :data:`TRUST_SELF_PCT_LIMIT` percent of the traced control-plane
+    run.  A slowdown that keeps every path is left to the benchmark's
+    comparison of a change against its parent.
+    """
+    rc = 0
+    for workload, scale, bounds in BENCH_GATES:
+        label = f"benchmark gate {workload} ({scale} scale, seed {BENCH_SEED})"
+        try:
+            done = subprocess.run(
+                [
+                    sys.executable, "perfbench/run.py", "--workload",
+                    workload, "--seed", str(BENCH_SEED), "--seconds", "1",
+                    "--trace", "1", "--scale", scale,
+                ],
+                cwd=ROOT, capture_output=True, text=True,
+                timeout=BENCH_TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            print(f"[FAIL] {label}: no result in {BENCH_TIMEOUT_S:g} s")
+            rc = 1
+            continue
+        lines = done.stdout.splitlines()
+        try:
+            result = json.loads(lines[-1])
+        except (IndexError, ValueError):
+            result = {"correct": False, "metrics": {}}
+        metrics = {n: m["value"] for n, m in result["metrics"].items()}
+        failures = [line for line in lines if line.startswith("problem ")]
+        if not result["correct"]:
+            failures.append(f"not correct (perfbench exit {done.returncode})")
+            failures.extend(done.stderr.splitlines()[-5:])
+        readings = ["correct" if result["correct"] else "NOT correct"]
+        for name, (low, high) in bounds.items():
+            got = metrics.get(name, math.nan)
+            readings.append(f"{name} {got:.4g}")
+            if not low <= got <= high:
+                failures.append(f"{name} outside [{low:g}, {high:g}]")
+        status = "FAIL" if failures else "ok"
+        print(f"[{status}] {label}: {', '.join(readings)}")
+        for failure in failures[:10]:
+            print(f"  {failure}")
+        rc |= 1 if failures else 0
+    return rc
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--duration", type=float, default=60.0,
                         help="simulated seconds per platform (default 60)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scenario", default="full-storm")
-    parser.add_argument("--skip-bench", action="store_true",
-                        help="skip the ticks/sec regression check")
     parser.add_argument("--artifact-dir", default="chaos-artifacts",
                         help="where failing drills dump their journal "
                              "and trace (default chaos-artifacts/)")
     parser.add_argument("--check", action="store_true",
-                        help="CI mode: enforce every gate, including the "
-                             "bench throughput floors (single-socket, "
-                             "cluster, and fleet ticks/sec)")
+                        help="CI mode: also run the benchmark gates "
+                             "(perfbench fleet-day, toy paper-quick and "
+                             "control-plane with --trace 1)")
     args = parser.parse_args(argv)
-    if args.check and args.skip_bench:
-        parser.error("--check enforces the bench gate; drop --skip-bench")
     rc = 0
     for platform, limit_w in PLATFORM_LIMITS.items():
         try:
@@ -684,12 +768,8 @@ def main(argv: list[str] | None = None) -> int:
     rc |= run_fleet_drill(args.seed)
     rc |= run_brownout_drill(args.seed)
     rc |= run_sanitizer_drill(args.seed)
-    if not args.skip_bench:
-        # guard the simulator's throughput alongside its safety: fail
-        # when ticks/sec regresses >30% against the committed baseline.
-        import bench
-
-        rc |= bench.check_regression()
+    if args.check:
+        rc |= run_benchmark_gates()
     return rc
 
 

@@ -15,8 +15,7 @@ ledger decides what CI tolerates.  The engine just composes them:
 
 In ``--check`` (CI) mode a suppressed finding with no ledger entry also
 blocks: silencing the linter requires a committed, reviewable baseline
-change, exactly like the chaos_smoke gate requires a committed
-throughput floor.
+change.
 """
 
 from __future__ import annotations

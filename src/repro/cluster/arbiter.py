@@ -20,6 +20,11 @@ NodeEpochReport` into a :class:`~repro.core.minfund.Claim`:
   with slack so a node capped low can still climb;
 * ``shares`` come from the config.
 
+Every fresh report passes the telemetry validator
+(:mod:`repro.cluster.trust`) before it becomes demand: one screen per
+epoch proves the clean majority clean, ``validate`` judges and clamps
+the rest, and only the clamped report is kept as demand history.
+
 :func:`~repro.core.minfund.refill_pool` then water-fills the budget:
 group shares split the facility budget into group pools, node shares
 split each pool into caps.  Saturated nodes (at ``hi``) release budget
@@ -147,14 +152,7 @@ class ClusterArbiter:
         #: first rebalance epoch each member took part in.
         self._admitted_at: dict[str, int] = {}
         #: model-based report validation (clamps implausible demand).
-        #: ``None`` disables the telemetry-robustness layer wholesale
-        #: (reports taken at face value, no trust updates) — a
-        #: break-glass operational mode, and the honest "unvalidated
-        #: arbitration" baseline the trust-overhead bench compares
-        #: against.
-        self.validator: DemandValidator | None = DemandValidator(
-            config.lease_ttl_epochs
-        )
+        self.validator = DemandValidator(config.lease_ttl_epochs)
         #: per-node trust scores fed by the validator's verdicts.
         self.trust = TrustBook()
         #: facility brownout ladder for sustained infeasibility.
@@ -192,8 +190,7 @@ class ClusterArbiter:
             self._last_seen.pop(name, None)
             self._last_fresh.pop(name, None)
             self._admitted_at.pop(name, None)
-            if self.validator is not None:
-                self.validator.forget(name)
+            self.validator.forget(name)
             self.trust.forget(name)
 
     def _drop_cap(self, name: str) -> None:
@@ -234,10 +231,7 @@ class ClusterArbiter:
             "last_seen": dict(self._last_seen),
             "last_fresh": dict(self._last_fresh),
             "admitted_at": dict(self._admitted_at),
-            "validator": (
-                self.validator.snapshot()
-                if self.validator is not None else {}
-            ),
+            "validator": self.validator.snapshot(),
             "trust": self.trust.snapshot(),
             "brownout": self.brownout.snapshot(),
         }
@@ -287,96 +281,51 @@ class ClusterArbiter:
         """
         crashed = [r.name for r in reports.values() if r.crashed]
         self.retire(crashed)
+        # fresh demand goes through the model validator, and only the
+        # clamped report survives as history — a lie can never outlive
+        # the epoch it arrived in.  Trust is judged here and only here:
+        # silence is the lease ladder's jurisdiction, so a partitioned
+        # node is never double-penalized.  One screen proves the clean
+        # majority; only its residue pays for per-report verdicts.
         violations: dict[str, tuple[str, ...]] = {}
-        validator = self.validator
-        if validator is None:
-            # break-glass mode: reports taken at face value, no trust
-            # updates (nothing can detect a violation).  Also the
-            # bench's "unvalidated arbitration" baseline.
-            for name in sorted(reports):
-                report = reports[name]
-                if name not in self._members:
-                    continue
-                self._last_seen[name] = epoch
-                if report.samples > 0:
-                    self._last_report[name] = report
-                    self._last_fresh[name] = epoch
-        else:
-            # fresh demand goes through the model validator, and only
-            # the clamped report survives as history — a lie can never
-            # outlive the epoch it arrived in.  Trust is judged here
-            # and only here: silence is the lease ladder's
-            # jurisdiction, so a partitioned node is never
-            # double-penalized.  The validator's tier-0 settled check
-            # is fused into this loop (one dict probe per report —
-            # the steady majority repeats its last clean-accepted
-            # reading verbatim); only the residue pays for screening
-            # and per-report verdicts.
-            # clean-epoch credit only matters while some node carries
-            # a degraded score — with the book empty, observe_clean is
-            # a no-op, so skip accumulating the fresh-name list at all
-            # (scores created *this* epoch land in the residue set,
-            # which observe_clean would skip anyway).
-            healing = bool(self.trust.scores)
-            fresh_names: list[str] = []
-            suspect_names: list[str] = []
-            suspect_reports: list[NodeEpochReport] = []
-            clean_get = validator.clean_tuples.get
-            cut = validator.fresh_cut(epoch)
-            for name in sorted(reports):
-                report = reports[name]
-                if name not in self._members:
-                    continue
-                self._last_seen[name] = epoch
-                if report.samples <= 0:
-                    continue
-                if healing:
-                    fresh_names.append(name)
-                t = clean_get(name)
-                if (
-                    t is not None
-                    and report.epoch >= cut
-                    and t[0] == report.mean_power_w  # repro-lint: disable=float-equality — settled-memo bit-identity is intended
-                    and t[1] == report.throttle_pressure
-                    and t[2] == report.headroom_w  # repro-lint: disable=float-equality — settled-memo bit-identity is intended
-                    and t[3] == report.cap_w  # repro-lint: disable=float-equality — settled-memo bit-identity is intended
-                ):
-                    self._last_report[name] = report
-                    self._last_fresh[name] = epoch
-                    continue
-                suspect_names.append(name)
-                suspect_reports.append(report)
-            residue_names: set[str] = set()
-            if suspect_names:
-                residue = validator.screen(
-                    suspect_reports,
-                    suspect_names,
+        fresh_names: list[str] = []
+        fresh_reports: list[NodeEpochReport] = []
+        for name in sorted(reports):
+            report = reports[name]
+            if name not in self._members:
+                continue
+            self._last_seen[name] = epoch
+            if report.samples > 0:
+                fresh_names.append(name)
+                fresh_reports.append(report)
+        if fresh_names:
+            residue = self.validator.screen(
+                fresh_reports,
+                fresh_names,
+                epoch=epoch,
+                floors=self._node_floor,
+                maxes=self._node_max,
+                granted=self._caps,
+            )
+            for i in residue:
+                name = fresh_names[i]
+                checked, broken = self.validator.validate(
+                    fresh_reports[i],
                     epoch=epoch,
-                    floors=self._node_floor,
-                    maxes=self._node_max,
-                    granted=self._caps,
+                    floor_w=self._node_floor[name],
+                    max_cap_w=self._node_max[name],
+                    granted_w=self._caps.get(name),
                 )
-                residue_names = {suspect_names[i] for i in residue}
-                for i in residue:
-                    name = suspect_names[i]
-                    checked, broken = validator.validate(
-                        suspect_reports[i],
-                        epoch=epoch,
-                        floor_w=self._node_floor[name],
-                        max_cap_w=self._node_max[name],
-                        granted_w=self._caps.get(name),
-                    )
-                    self.trust.observe(name, bool(broken))
-                    if broken:
-                        violations[name] = broken
-                    suspect_reports[i] = checked
-                for i, name in enumerate(suspect_names):
-                    self._last_report[name] = suspect_reports[i]
-                    self._last_fresh[name] = epoch
-            if fresh_names:
-                self.trust.observe_clean(
-                    fresh_names, skip=residue_names
-                )
+                self.trust.observe(name, bool(broken))
+                if broken:
+                    violations[name] = broken
+                fresh_reports[i] = checked
+            self.trust.observe_clean(
+                fresh_names, skip={fresh_names[i] for i in residue}
+            )
+            for name, report in zip(fresh_names, fresh_reports):
+                self._last_report[name] = report
+                self._last_fresh[name] = epoch
         if not self._members:
             self._caps = {}
             self._cap_sum = 0.0

@@ -12,6 +12,10 @@ is the defense, three mechanisms the arbiters compose per epoch:
   granted, rate-of-change limits, and the internal consistency of the
   power/headroom/throttle channels — and clamps implausible values to
   the model envelope, so no lie ever reaches the water-filling raw.
+  Each epoch's fresh reports go once through :meth:`DemandValidator.
+  screen`, one numpy pass that proves the clean majority clean;
+  :meth:`DemandValidator.validate` judges the residue, one report at a
+  time, and is the reference the tests hold the screen to.
 * :class:`TrustBook` keeps a per-node trust score in ``[0, 1]``:
   exponential decay on each violating epoch, slow probationary
   recovery on clean ones.  Low-trust demand is discounted toward the
@@ -82,12 +86,6 @@ BOOT_FLOOR_FACTOR = 2.0
 #: same floats they report, so the honest mismatch is exactly zero.
 _CONSISTENCY_TOL_W = 1e-6
 
-#: below this many fresh reports the vectorized screen costs more in
-#: numpy call overhead than the per-report path it would save (the
-#: fixed array-building cost amortizes past roughly this point, since
-#: a full :meth:`DemandValidator.validate` pass runs ~2.5 us/report).
-_SCREEN_MIN_BATCH = 8
-
 #: brownout ladder levels, in order.
 BROWNOUT_LEVELS = ("normal", "brownout1", "brownout2", "shed")
 
@@ -120,26 +118,17 @@ class DemandValidator:
 
     Stateful only in the per-node last *accepted* power reading, which
     anchors the rate-of-change limit; that dict checkpoints into the
-    journal fence via :meth:`snapshot`.  ``validate`` never mutates the
-    incoming report — it returns a clamped copy plus the violation
-    reasons, and the caller stores the clamped copy as demand history
-    so a lie never survives in ``_last_report`` either.
+    journal fence via :meth:`snapshot`, so a restored validator judges
+    the next report exactly as the original would.  ``validate`` never
+    mutates the incoming report — it returns a clamped copy plus the
+    violation reasons, and the caller stores the clamped copy as demand
+    history so a lie never survives in ``_last_report`` either.
     """
 
     def __init__(self, lease_ttl: int):
         self._ttl = lease_ttl
         #: node -> last accepted (post-clamp) power reading, watts.
         self._prev_power: dict[str, float] = {}
-        #: node -> ``(power, throttle, headroom, cap)`` of the last
-        #: report accepted *clean* (no violations, no clamp).  A new
-        #: report matching this tuple needs no envelope math at all
-        #: (see :meth:`screen`).  Pure cache: cleared on restore, so
-        #: it is deliberately absent from :meth:`snapshot` — dropping
-        #: it only sends reports down the slow path, never changes a
-        #: verdict.
-        self._last_clean: dict[
-            str, tuple[float, float, float, float]
-        ] = {}
 
     def validate(
         self,
@@ -215,14 +204,7 @@ class DemandValidator:
             violations.append("stale-payload")
 
         if not violations:
-            self._last_clean[report.name] = (
-                report.mean_power_w,
-                report.throttle_pressure,
-                report.headroom_w,
-                report.cap_w,
-            )
             return report, ()
-        self._last_clean.pop(report.name, None)
         headroom = max(report.cap_w - power, 0.0)
         if not math.isfinite(headroom):
             headroom = 0.0
@@ -233,19 +215,6 @@ class DemandValidator:
             headroom_w=headroom,
         )
         return clamped, tuple(violations)
-
-    @property
-    def clean_tuples(self) -> Mapping[str, tuple[float, float, float, float]]:
-        """Live read-only view of the last clean-accepted channel
-        tuples, keyed by node name, for callers that fuse the tier-0
-        settled check of :meth:`screen` into a report loop they already
-        pay for (the arbiter's ingest does).  Callers must not mutate.
-        """
-        return self._last_clean
-
-    def fresh_cut(self, epoch: int) -> int:
-        """Oldest payload epoch not considered stale at ``epoch``."""
-        return epoch - self._ttl
 
     def screen(
         self,
@@ -266,63 +235,30 @@ class DemandValidator:
         leaves the validator in exactly the state :meth:`validate`
         would have left.
 
-        **Tier 0** (one dict probe per report) proves the settled
-        majority clean: a report byte-identical to the node's last
-        clean-accepted reading on every validated channel, and not
-        stale, needs no envelope math — the identical tuple already
-        passed the consistency and throttle checks, a clean accept
-        pinned the rate anchor to this exact power (so the ceiling,
-        which is at least ``anchor * RATE_GROWTH`` and never below
-        zero, still admits it), and an unclamped accept is proof the
-        reading sits under the platform bound.
-
-        **Tier 1** replicates the :meth:`validate` ceiling in one
-        numpy pass over the residue (movers, first reports), but
-        accepts only readings strictly inside it — no float
-        tolerance, so borderline readings fall through to
+        One numpy pass replicates the :meth:`validate` ceiling over the
+        whole batch but accepts only readings strictly inside it — no
+        float tolerance, so borderline readings fall through to
         :meth:`validate` for the authoritative verdict, and a NaN
         anywhere (channels or missing anchor) fails every comparison
-        and defers too.  Accepted movers have their anchors and
-        clean-tuples updated here, exactly as :meth:`validate` would.
+        and defers too.  Accepted reports have their rate anchors
+        updated here, exactly as :meth:`validate` would.
 
         The combined outcome — accepted reports, violation verdicts,
         validator state — is identical to validating every report
-        individually; the property tests assert that equivalence on
-        adversarial batches.  Small batches skip screening entirely
-        (per-report validation is cheaper than the setup).
+        individually; the unit tests assert that equivalence on
+        adversarial batches and through the arbiters' ingest.
         """
-        n = len(reports)
-        if n < _SCREEN_MIN_BATCH:
-            return range(n)
         cut = epoch - self._ttl
-        rest: list[int] = []
-        last_get = self._last_clean.get
-        defer = rest.append
-        for i, report in enumerate(reports):
-            t = last_get(report.name)
-            if (
-                t is not None
-                and report.epoch >= cut
-                and t[0] == report.mean_power_w  # repro-lint: disable=float-equality — settled-memo bit-identity is intended
-                and t[1] == report.throttle_pressure
-                and t[2] == report.headroom_w  # repro-lint: disable=float-equality — settled-memo bit-identity is intended
-                and t[3] == report.cap_w  # repro-lint: disable=float-equality — settled-memo bit-identity is intended
-            ):
-                continue
-            defer(i)
-        if len(rest) < _SCREEN_MIN_BATCH:
-            return rest
-        sub = [reports[i] for i in rest]
-        p = np.array([r.mean_power_w for r in sub])
-        tp = np.array([r.throttle_pressure for r in sub])
-        h = np.array([r.headroom_w for r in sub])
-        c = np.array([r.cap_w for r in sub])
-        e = np.array([r.epoch for r in sub])
-        f = np.array([floors[names[i]] for i in rest])
-        m = np.array([maxes[names[i]] for i in rest])
-        g = np.array([granted.get(names[i], 0.0) for i in rest])
+        p = np.array([r.mean_power_w for r in reports])
+        tp = np.array([r.throttle_pressure for r in reports])
+        h = np.array([r.headroom_w for r in reports])
+        c = np.array([r.cap_w for r in reports])
+        e = np.array([r.epoch for r in reports])
+        f = np.array([floors[name] for name in names])
+        m = np.array([maxes[name] for name in names])
+        g = np.array([granted.get(name, 0.0) for name in names])
         prev = np.array(
-            [self._prev_power.get(r.name, math.nan) for r in sub]
+            [self._prev_power.get(name, math.nan) for name in names]
         )
         # NaN fails every comparison, landing the report in the
         # suspect set — exactly where a non-finite reading belongs.
@@ -341,26 +277,14 @@ class DemandValidator:
             m * PLATFORM_MARGIN,
         )
         ok &= p <= ceiling
-        if not bool(ok.any()):
-            return rest
-        for j in np.nonzero(ok)[0].tolist():
-            report = sub[j]
-            self._prev_power[report.name] = report.mean_power_w
-            self._last_clean[report.name] = (
-                report.mean_power_w,
-                report.throttle_pressure,
-                report.headroom_w,
-                report.cap_w,
-            )
-        suspects: list[int] = [
-            rest[j] for j in np.nonzero(~ok)[0].tolist()
-        ]
+        for i in np.nonzero(ok)[0].tolist():
+            self._prev_power[names[i]] = reports[i].mean_power_w
+        suspects: list[int] = np.nonzero(~ok)[0].tolist()
         return suspects
 
     def forget(self, name: str) -> None:
         """Drop a retired member's rate-limit anchor."""
         self._prev_power.pop(name, None)
-        self._last_clean.pop(name, None)
 
     def snapshot(self) -> dict[str, float]:
         """Checkpoint the rate-limit anchors (journal fence)."""
@@ -368,9 +292,6 @@ class DemandValidator:
 
     def restore(self, state: dict[str, float]) -> None:
         self._prev_power = dict(state)
-        # pure cache: dropping it only routes the next report down
-        # the slow path, never changes a verdict
-        self._last_clean = {}
 
 
 class TrustBook:

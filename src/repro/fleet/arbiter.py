@@ -87,7 +87,8 @@ class FleetArbiter(ClusterArbiter):
             raise ConfigError("FleetArbiter needs a config with a topology")
         self.topology = config.topology
         #: full recompute mode (every rack dirty every epoch): the
-        #: reference the property suite and bench compare against.
+        #: reference the unit and property tests compare against; no
+        #: config or CLI option sets it.
         self.incremental = True
         # -- static tree structure (preorder everywhere) -----------------
         self._domains = tuple(iter_domains(self.topology))

@@ -1083,6 +1083,13 @@ def _advance_batch(gang: _Gang, n_ticks: int) -> int:
         gang.unload(flipped)
         for i in flipped:
             gang.chips[i]._dirty = True
+    if any_finish:
+        # only the write-back tells a finished app so (_Gang._scatter),
+        # and a finish need not flip done: a core woken from park whose
+        # app finishes on its first tick reported done before it too
+        gang.unload(np.flatnonzero(
+            np.logical_or.reduceat(finisher, gang.starts)
+        ).tolist())
     return commit
 
 

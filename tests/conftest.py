@@ -17,26 +17,15 @@ def pytest_addoption(parser):
         default=False,
         help="run the long chaos/soak tests (tier-1 skips them)",
     )
-    parser.addoption(
-        "--bench",
-        action="store_true",
-        default=False,
-        help="run the performance measurements (tier-1 skips them)",
-    )
 
 
 def pytest_collection_modifyitems(config, items):
-    gates = []
-    if not config.getoption("--soak"):
-        gates.append(("soak", pytest.mark.skip(
-            reason="soak run: pass --soak to enable")))
-    if not config.getoption("--bench"):
-        gates.append(("bench", pytest.mark.skip(
-            reason="perf measurement: pass --bench to enable")))
+    if config.getoption("--soak"):
+        return
+    skip = pytest.mark.skip(reason="soak run: pass --soak to enable")
     for item in items:
-        for keyword, marker in gates:
-            if keyword in item.keywords:
-                item.add_marker(marker)
+        if "soak" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")

@@ -229,6 +229,17 @@ TIMESHARE_UNDER_CAP = dict(
     timeshare=(9, False, [("gcc", None), ("leela", 3e8)]),
 )
 
+#: a parked leela core with a tiny budget, woken for a two-tick run:
+#: its app finishes on its first tick after a parked (done) sample, so
+#: done never flips, and the finish must still reach the objects
+WAKE_FINISH = dict(
+    BATCH_UNDER_CAP,
+    tick_s=5e-3,
+    loads=[("idle",)] * 6 + [("spec", "leela", 1e7)] + [("idle",)] * 3,
+    parked={6},
+    limit=None,
+)
+
 
 @given(chips, st.lists(ops, min_size=4, max_size=20))
 @example(BATCH_UNDER_CAP, [("run", 400, None), ("run", 3, None),
@@ -243,6 +254,8 @@ TIMESHARE_UNDER_CAP = dict(
                         ("run", 300, None)])
 @example(TIMESHARE_UNDER_CAP, [("run", 350, None), ("freq", 9, FREQS[2]),
                                ("run", 500, None)])
+@example(WAKE_FINISH, [("park", 0, None), ("run", 1, None),
+                       ("park", 6, None), ("run", 2, None)])
 @settings(max_examples=40, deadline=None)
 def test_fused_fallback_is_bit_identical(spec, schedule):
     scalar = build_chip(spec)

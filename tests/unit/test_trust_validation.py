@@ -4,14 +4,18 @@
 envelope (seeding, clamping, consistency, staleness), the exactness of
 the vectorized screen against per-report validation on adversarial
 batches, trust decay/probation/recovery and the documented quarantine
-bound, and the brownout ladder's hysteresis and shedding order.
+bound, and the brownout ladder's hysteresis and shedding order.  One
+arbiter-level check drives the arbiters' report ingest against an
+oracle that validates every report.
 """
 
+import dataclasses
 import math
 import random
 
 import pytest
 
+from repro.cluster import ClusterArbiter, ClusterConfig, NodeSpec
 from repro.cluster.node import NodeEpochReport
 from repro.cluster.trust import (
     BOOT_FLOOR_FACTOR,
@@ -31,6 +35,9 @@ from repro.cluster.trust import (
     TrustBook,
     brownout_claim_bounds,
 )
+from repro.config import AppSpec
+from repro.experiments.fleet_exp import fleet_config
+from repro.fleet.arbiter import FleetArbiter
 
 FLOOR_W = 12.0
 MAX_CAP_W = 95.0
@@ -78,7 +85,6 @@ class TestDemandValidator:
         checked, broken = validate(v, rep)
         assert broken == ()
         assert checked == rep
-        assert v.clean_tuples["n0"] == (30.0, 0.2, 15.0, 45.0)
 
     def test_first_report_held_only_to_platform_bound(self):
         # boot overshoot above the granted cap is plausible; above the
@@ -136,20 +142,12 @@ class TestDemandValidator:
         _, broken = validate(v2, report(epoch=2), epoch=5)
         assert broken == ()
 
-    def test_violation_evicts_clean_tuple(self):
-        v = DemandValidator(3)
-        validate(v, report(epoch=1))
-        assert "n0" in v.clean_tuples
-        validate(v, report(epoch=2, throttle=2.0))
-        assert "n0" not in v.clean_tuples
-
-    def test_restore_drops_cache_but_keeps_anchors(self):
+    def test_restore_keeps_anchors(self):
         v = DemandValidator(3)
         validate(v, report(epoch=1, power=30.0))
         state = v.snapshot()
         fresh = DemandValidator(3)
         fresh.restore(state)
-        assert fresh.clean_tuples == {}
         # the anchor survives: the rate limit still binds
         _, broken = validate(fresh, report(epoch=2, power=80.0))
         assert "implausible-demand" in broken
@@ -205,6 +203,8 @@ class TestScreenEquivalence:
         screened = DemandValidator(3)
         reference = DemandValidator(3)
         trust_a, trust_b = TrustBook(), TrustBook()
+        #: node -> its last reading accepted with no violation
+        last_clean = {}
 
         for epoch in range(n_epochs):
             granted = {n: rng.uniform(10.0, 90.0) for n in names}
@@ -213,18 +213,18 @@ class TestScreenEquivalence:
                 if (
                     epoch > 0
                     and rng.random() < 0.7
-                    and name in screened.clean_tuples
+                    and name in last_clean
                 ):
                     # a settled node repeating its last clean reading
-                    t = screened.clean_tuples[name]
+                    t = last_clean[name]
                     reports.append(
                         report(
                             name=name,
                             epoch=epoch,
-                            cap_w=t[3],
-                            power=t[0],
-                            throttle=t[1],
-                            headroom=t[2],
+                            cap_w=t.cap_w,
+                            power=t.mean_power_w,
+                            throttle=t.throttle_pressure,
+                            headroom=t.headroom_w,
                         )
                     )
                 else:
@@ -274,6 +274,9 @@ class TestScreenEquivalence:
                 outs_b.append(checked)
                 if broken:
                     viols_b[rep.name] = broken
+                    last_clean.pop(rep.name, None)
+                else:
+                    last_clean[rep.name] = rep
 
             assert viols_a == viols_b
             for a, b in zip(outs_a, outs_b):
@@ -296,6 +299,141 @@ def _reports_equal(a, b):
         if not ((x != x and y != y) or x == y):
             return False
     return True
+
+
+class _ValidateEvery(DemandValidator):
+    """The oracle validator: its screen proves nothing clean, so every
+    fresh report goes through :meth:`DemandValidator.validate`."""
+
+    def screen(self, reports, names, **kwargs):
+        return range(len(reports))
+
+
+def _validating_every_report(arbiter):
+    """``arbiter`` with its validator swapped for the oracle, anchors
+    kept."""
+    oracle = _ValidateEvery(arbiter.lease_ttl)
+    oracle.restore(arbiter.validator.snapshot())
+    arbiter.validator = oracle
+    return arbiter
+
+
+def _recovered(arbiter):
+    """A fresh arbiter rebuilt from ``arbiter``'s snapshot."""
+    fresh = type(arbiter)(arbiter.config)
+    fresh.restore(arbiter.snapshot())
+    return fresh
+
+
+def _ingest_epoch(rng, names, epoch, caps, clean, stuck, frozen):
+    """One epoch of reports: settled repeats, movers, NaN garbage,
+    inflators, out-of-range throttle, empty epochs, silence, and stuck
+    sensors whose frozen payload outlives the lease TTL."""
+    reports = {}
+    for name in names:
+        cap = caps.get(name, 30.0)
+        onset = stuck.get(name)
+        if onset is not None and epoch >= onset - 1:
+            # a clean reading the epoch before onset, then frozen
+            frozen.setdefault(
+                name,
+                report(name=name, epoch=epoch, cap_w=cap, power=0.5 * cap),
+            )
+            reports[name] = frozen[name]
+            continue
+        roll = rng.random()
+        if roll < 0.06:
+            continue  # silent this epoch
+        if roll < 0.10:
+            rep = report(name=name, epoch=epoch, cap_w=cap, samples=0)
+        elif roll < 0.55 and name in clean:
+            # settled: the node's last clean reading, verbatim
+            rep = dataclasses.replace(
+                clean[name], epoch=epoch, t_end_s=epoch * 10.0
+            )
+        elif roll < 0.60:
+            rep = report(
+                name=name, epoch=epoch, cap_w=cap, power=math.nan,
+                headroom=math.nan,
+            )
+        elif roll < 0.65:
+            rep = report(name=name, epoch=epoch, cap_w=cap, power=3.0 * cap)
+        elif roll < 0.69:
+            rep = report(
+                name=name, epoch=epoch, cap_w=cap,
+                throttle=rng.choice([1.5, -0.2]),
+            )
+        else:
+            rep = report(
+                name=name, epoch=epoch, cap_w=cap,
+                power=rng.uniform(0.2, 1.05) * cap,
+                throttle=rng.uniform(0.0, 1.0),
+            )
+        reports[name] = rep
+    return reports
+
+
+class TestIngestEquivalence:
+    """The arbiters' ingest — one screen, :meth:`DemandValidator.
+    validate` on whatever it cannot prove clean — grants exactly what
+    validating every report grants, across a snapshot/restore."""
+
+    EPOCHS = 30
+
+    @pytest.mark.parametrize("kind", ["flat", "fleet"])
+    def test_ingest_matches_validating_every_report(self, kind):
+        if kind == "flat":
+            apps = tuple(AppSpec("cactusBSSN", shares=50.0) for _ in range(4))
+            config = ClusterConfig(
+                budget_w=720.0,
+                nodes=tuple(
+                    NodeSpec(
+                        name=f"n{i:02d}", apps=apps, min_cap_w=10.0,
+                        max_cap_w=60.0,
+                    )
+                    for i in range(24)
+                ),
+            )
+            arbiter = ClusterArbiter(config)
+        else:
+            config = fleet_config(2, 2, 10, schedule=None)
+            arbiter = FleetArbiter(config)
+        names = [spec.name for spec in config.nodes]
+        oracle = _validating_every_report(type(arbiter)(config))
+        arbiter.admit(names)
+        oracle.admit(names)
+        rng = random.Random(19)
+        stuck = {names[3]: 4, names[-5]: 13}  # node -> onset epoch
+        frozen = {}
+        clean = {}
+        caps = {}
+        for epoch in range(self.EPOCHS):
+            if epoch == self.EPOCHS // 2:
+                arbiter = _recovered(arbiter)
+                oracle = _validating_every_report(_recovered(oracle))
+            reports = _ingest_epoch(
+                rng, names, epoch, caps, clean, stuck, frozen
+            )
+            got = arbiter.rebalance(epoch, dict(reports))
+            want = oracle.rebalance(epoch, dict(reports))
+            assert got.caps_w == want.caps_w, epoch
+            assert got.trust_violations == want.trust_violations, epoch
+            assert got.quarantined == want.quarantined, epoch
+            assert arbiter.snapshot() == oracle.snapshot(), epoch
+            caps = want.caps_w
+            for name, rep in reports.items():
+                if rep.samples <= 0:
+                    continue
+                if name in want.trust_violations:
+                    clean.pop(name, None)
+                else:
+                    clean[name] = rep
+        # the stream exercised what it claims to
+        assert any(
+            "stale-payload" in reasons
+            for reasons in want.trust_violations.values()
+        )
+        assert want.quarantined
 
 
 class TestTrustBook:
