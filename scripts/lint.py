@@ -12,7 +12,9 @@ habits) can run the linter exactly like the chaos smoke gate::
 ``--check`` is the CI mode: any finding not covered by an inline
 ``# repro-lint: disable=<rule> — <reason>`` comment *and* the committed
 ``.repro-lint-baseline.json`` ledger fails the run, as does a stale or
-reasonless suppression.  Exits nonzero on violations.
+reasonless suppression, and a ledger entry for a linted file that
+matches no finding (regenerate the ledger with ``--write-baseline``).
+Exits nonzero on violations.
 
 ``--changed`` is the incremental pre-commit mode: lint only the Python
 files under ``src/`` that differ from the merge base with ``main``

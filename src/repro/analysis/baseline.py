@@ -4,8 +4,9 @@ The baseline is the audited list of findings the repo deliberately
 tolerates.  Every entry corresponds to an inline
 ``# repro-lint: disable=`` comment in the tree (the linter parses both
 and cross-checks them in ``--check`` mode), so adding a new suppression
-requires committing a baseline change a reviewer can see, and a
-suppression whose finding disappeared fails CI as stale.
+requires committing a reviewable baseline change, a suppression whose
+finding disappeared fails CI as stale, and so, in ``--check`` mode,
+does an entry for a linted file that no finding matches.
 
 Entries match findings *structurally* — rule, path, and the stripped
 source line — never by line number, so unrelated edits above a
@@ -110,6 +111,7 @@ class BaselineMatcher:
     """Consumes baseline entries against one run's findings."""
 
     def __init__(self, baseline: Baseline) -> None:
+        self._entries = baseline.entries
         self._budget: Counter[tuple[str, str, str]] = Counter(
             entry.key() for entry in baseline.entries
         )
@@ -121,3 +123,14 @@ class BaselineMatcher:
             self._budget[key] -= 1
             return True
         return False
+
+    def unmatched(self, paths: set[str]) -> list[BaselineEntry]:
+        """The entries for files in ``paths`` that no finding consumed
+        (of identical entries, as many as were left over)."""
+        left = Counter(self._budget)
+        dead: list[BaselineEntry] = []
+        for entry in self._entries:
+            if entry.path in paths and left[entry.key()] > 0:
+                left[entry.key()] -= 1
+                dead.append(entry)
+        return dead

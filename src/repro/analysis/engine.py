@@ -14,8 +14,9 @@ ledger decides what CI tolerates.  The engine just composes them:
    are *baselined*, everything else is *blocking*.
 
 In ``--check`` (CI) mode a suppressed finding with no ledger entry also
-blocks: silencing the linter requires a committed, reviewable baseline
-change.
+blocks — silencing the linter requires a committed, reviewable baseline
+change — and so does a ledger entry for a linted file that matches no
+finding: the ledger must be exact.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
-from repro.analysis.baseline import Baseline
+from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.callgraph import Project
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import RuleRegistry, default_registry
@@ -35,6 +36,7 @@ META_PARSE = "parse-error"
 META_MALFORMED = "suppression-without-reason"
 META_UNKNOWN = "suppression-unknown-rule"
 META_UNUSED = "suppression-unused"
+META_DEAD_ENTRY = "baseline-entry-unmatched"
 
 
 @dataclass
@@ -129,6 +131,12 @@ def lint_sources(
     report.blocking.extend(meta)
     if check:
         report.blocking.extend(report.unledgered)
+        # files outside this run (explicit paths, --changed) say nothing
+        # about their entries
+        linted = {src.path for src in sources}
+        report.blocking.extend(
+            _dead_entry(entry) for entry in matcher.unmatched(linted)
+        )
     report.blocking.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report
 
@@ -203,6 +211,18 @@ def _suppression_hygiene(
                     context=src.line_text(s.line),
                 ))
     return out
+
+
+def _dead_entry(entry: BaselineEntry) -> Finding:
+    return Finding(
+        rule=META_DEAD_ENTRY, path=entry.path, line=entry.line, col=0,
+        message=(
+            f"ledger entry matches no finding: {entry.rule} on "
+            f"{entry.context!r} — regenerate the ledger with "
+            "scripts/lint.py --write-baseline"
+        ),
+        context=entry.context,
+    )
 
 
 def _unused_suppressions(src: SourceFile) -> list[Finding]:

@@ -39,6 +39,10 @@ to the scalar reference.  That holds because
   dirty, or the RAPL frequency cap dropping below the fastest unparked
   core's base frequency (the cap would start clipping, which the
   candidate matrices did not model);
+* a batch computes each distinct lane once and copies the result to
+  its duplicates: lanes and chips are classed by the raw bytes of every
+  input the result depends on (:func:`_distinct`), so each copy is the
+  value its own lane would have computed;
 * the RAPL limiter's EWMA control loop is a sequential recurrence with
   no closed form, so it is replayed tick-by-tick in the limiter's exact
   operation order — on local floats per chip, or for wide gangs once
@@ -58,10 +62,10 @@ to the scalar reference.  That holds because
 Gathering runs at three cadences:
 
 * **placement rows** (:class:`_Placement`) — load parameters, parked
-  masks, the idle-variant roofline and voltage, budgets, phase keys and
-  residency increments — are cached on the chip and keyed on
-  ``Chip._placement_generation``, which only ``assign_load`` and a
-  ``park`` that flips the flag bump;
+  masks, the idle-variant roofline and voltage, budgets, phase
+  parameters and residency increments — are cached on the chip and
+  keyed on ``Chip._placement_generation``, which only ``assign_load``
+  and a ``park`` that flips the flag bump;
 * **frequency rows** — the running-variant roofline, voltage, f_GHz and
   APERF increments, and each chip's fastest unparked base frequency —
   follow the resolved P-state view, which the daemon moves every period
@@ -126,10 +130,6 @@ _GRID_CACHE: dict["PStateTable", tuple["np.ndarray", "np.ndarray"]] = {}
 _IDLE_SAMPLE = LoadSample(0.0, 0.0, 0.0, done=True)
 
 _PLACEMENT_SERIAL = itertools.count()
-
-#: a column's phase key (chip start time, period, offset, IPC and power
-#: amplitudes) as one opaque 40-byte value, so keys dedupe bit for bit.
-_PHASE_KEY = np.dtype((np.void, 5 * 8))
 
 #: C-state residency codes of the resident ``cstate`` row.
 _CSTATES = (CState.C0, CState.C1, CState.C6)
@@ -254,6 +254,8 @@ class _Placement:
                 budget.append(math.inf)
         self.parked = parked
         self.loads = loads
+        #: every core's load object as the rows were built
+        self.assigned = [core.load for core in chip.cores]
         self.has_budget = any(not math.isinf(b) for b in budget)
 
         n = self.n
@@ -553,8 +555,8 @@ class _Gang:
     """The resident arrays of one window's chips of one tick length.
 
     Lanes are the chips' cores stacked in order.  ``blocks`` holds the
-    thirteen per-lane running sums in :func:`_fold`'s order and ``acc``
-    those plus each chip's package energy.  A chip is *stale* while its
+    thirteen per-lane running sums in :func:`_fold`'s order and
+    ``pkg_energy`` each chip's package energy.  A chip is *stale* while its
     objects are the state of record — before its first gather and after
     :meth:`unload` — and *moved* once a batch has advanced it since its
     gather (an unmoved chip's objects are still current).
@@ -571,9 +573,8 @@ class _Gang:
         self.stale = [True] * k
         self.moved = [False] * k
         self.stacked: _Stacked | None = None
-        self.acc = np.zeros(_SUMS * total + k)
-        self.blocks = self.acc[: _SUMS * total].reshape(_SUMS, total)
-        self.pkg_energy = self.acc[_SUMS * total :]
+        self.blocks = np.zeros((_SUMS, total))
+        self.pkg_energy = np.zeros(k)
         # per chip: simulated time, the last tick's package power and
         # the RAPL control state (the primed flags apart)
         self.per_chip = np.zeros((4, k))
@@ -771,7 +772,10 @@ class _Gang:
             prev = chip._prev_sample_done
             core_energy = chip.energy._core_energy_j
             residencies = chip.cstates._cores
-            for load, core in zip(self.placements[i].loads, chip.cores):
+            placement = self.placements[i]
+            for load, assigned, core in zip(
+                placement.loads, placement.assigned, chip.cores
+            ):
                 cpu = core.core_id
                 # a lane ran in every batch since its gather if its app
                 # is running, or finished on the last committed tick
@@ -785,14 +789,19 @@ class _Gang:
                     app.finished = not running[g]
                     load._factor = factor_last[g]
                     load._factor_freq = eff_last[g]
-                    core.last_sample = LoadSample(
+                    sample = LoadSample(
                         instructions=inst_last[g],
                         busy_fraction=1.0,
                         c_eff=ceff_last[g],
                         done=done[g],
                     )
                 else:
-                    core.last_sample = _IDLE_SAMPLE
+                    sample = _IDLE_SAMPLE
+                # a core given another load since its gather keeps the
+                # cleared sample `Core.assign` left: the next P-state
+                # view counts it active, as the scalar tick does
+                if core.load is assigned:
+                    core.last_sample = sample
                 core.effective_mhz = eff_last[g]
                 core.total_instructions = ti_f[g]
                 core.total_energy_j = te_f[g]
@@ -854,7 +863,19 @@ class _Gang:
 def _advance_batch(gang: _Gang, n_ticks: int) -> int:
     """Step every chip of a prepared, gathered gang up to ``n_ticks`` in
     place; returns the ticks committed (at least one: no RAPL cap clips
-    the first tick, :meth:`_Gang._clipping`)."""
+    the first tick, :meth:`_Gang._clipping`).
+
+    Each distinct lane is computed once (:func:`_distinct`): the phase
+    factors have one column per distinct *phase key* (chip start time,
+    period, offset, amplitudes), the tick matrices one per distinct lane
+    *column* (its phase key and every other input of the candidate and
+    power formulas), the package fold one row per distinct chip
+    *pattern* (its lanes' columns and its uncore watts), and the running
+    sums one lane per distinct lane *state* (its column, wake discount,
+    fixed increments, budget and the thirteen seeds).  Equal inputs give
+    equal bits, so scattering the results back to every lane and chip is
+    exact.
+    """
     group = gang.stacked
     assert group is not None
     base_max = group.base_max
@@ -870,6 +891,8 @@ def _advance_batch(gang: _Gang, n_ticks: int) -> int:
     prev_done = gang.prev_done
     rate0 = np.where(running, freq["rate_run"], rows["rate_idle"])
     factor = np.where(running, freq["factor_run"], rows["factor_idle"])
+    volt = np.where(running, freq["volt_run"], rows["volt_idle"])
+    fghz = np.where(running, freq["fghz_run"], rows["fghz_idle"])
     any_budget = any(p.has_budget for p in gang.placements)
 
     # event split, part 1: without instruction budgets the only split
@@ -887,44 +910,63 @@ def _advance_batch(gang: _Gang, n_ticks: int) -> int:
     t_series = kernel.seeded_accumulate(
         t0, np.full((window, n_chips), dt, dtype=np.float64)
     )
-    # phase factors depend only on the column's (chip start time,
-    # period, offset, amplitudes): evaluate them once per distinct key,
-    # compared bit for bit, and gather the result back to every column
-    period = rows["period_row"]
-    offset = rows["offset_row"]
-    ipc_amp = rows["ipc_amp_row"]
-    pow_amp = rows["pow_amp_row"]
-    keys = np.stack((t0[chip_of], period, offset, ipc_amp, pow_amp), axis=1)
-    reps: list[int] = []
-    key_slot: dict[bytes, int] = {}
-    inverse_list: list[int] = []
-    for col, key in enumerate(keys.view(_PHASE_KEY).ravel().tolist()):
-        if key not in key_slot:
-            key_slot[key] = len(reps)
-            reps.append(col)
-        inverse_list.append(key_slot[key])
-    inverse = np.asarray(inverse_list)
+
+    # a lane's phase key (chip start time, period, offset, amplitudes),
+    # the only inputs of its phase factors
+    phase = (rows["period_row"], rows["offset_row"], rows["ipc_amp_row"],
+             rows["pow_amp_row"])
+    phase_rep, lane_phase = _distinct(np.stack((t0[chip_of], *phase)))
+    # a lane's column: its phase key and every input of its candidate and
+    # power rows
+    inputs = (running, rate0, factor, volt, fghz, rows["ceff_row"],
+              rows["scale_row"], rows["leak_row"], rows["idle_row"])
+    col_rep, lane_col = _distinct(np.stack((*inputs, lane_phase)))
+    wake = (gang.cstate == _C6) & running
+    dt_running = np.where(running, dt, 0.0)
+    # the eight sums whose increment is the same every tick
+    fixed = np.stack((
+        dt_running,                                   # busy seconds
+        np.full(total, dt, dtype=np.float64),         # wall seconds
+        np.where(running, freq["aperf_run"], 0.0),
+        np.where(running, rows["mperf_run"], 0.0),
+        dt_running,                                   # C0 residency
+        np.where(running, 0.0, rows["c1_idle"]),
+        rows["c6_inc"],
+        dt_running,                                   # app elapsed_s
+    ))
+    # a lane's state: its column and whatever else its sums and its
+    # finish take (seeds, fixed increments, wake discount, budget)
+    state_rep, lane_state = _distinct(np.concatenate((
+        gang.blocks,
+        fixed,
+        np.stack((lane_col, wake, rows["wake_row"], rows["budget_row"])),
+    )))
+    state_col = lane_col[state_rep]
+    (run_c, rate_c, factor_c, volt_c, fghz_c, ceff_c, scale_c, leak_c,
+     idle_c) = (row[col_rep] for row in inputs)
     ipc_u, pow_u = kernel.phase_factors(
-        t_series[:window, chip_of[reps]],
-        period[reps],
-        offset[reps],
-        ipc_amp[reps],
-        pow_amp[reps],
+        t_series[:window, chip_of[phase_rep]],
+        *(row[phase_rep] for row in phase),
     )
+    col_phase = lane_phase[col_rep]
     cand = np.where(
-        running, kernel.retired_rows(rate0, ipc_u[:, inverse], dt), 0.0
+        run_c, kernel.retired_rows(rate_c, ipc_u[:, col_phase], dt), 0.0
     )
+    # the candidate work of each state
+    cand_s = cand[:, state_col]
+    run_s = running[state_rep]
 
     # event split, part 2: with budgets in play, scan for the earliest
     # finishing tick; the batch runs through it inclusive (behaviour
     # changes the tick after)
-    retired = gang.blocks[_RETIRED]
     if any_budget:
-        budget_row = rows["budget_row"]
-        r_acc = kernel.seeded_accumulate(retired, cand)
-        hits = (cand >= (budget_row - r_acc[:window])) & running
+        budget_s = rows["budget_row"][state_rep]
+        r_acc = kernel.seeded_accumulate(
+            gang.blocks[_RETIRED, state_rep], cand_s
+        )
+        hits = (cand_s >= (budget_s - r_acc[:window])) & run_s
         first_hit = kernel.first_hit_rows(hits, window)
-        done0 = np.where(running, first_hit == 0, True)
+        done0 = np.where(running, first_hit[lane_state] == 0, True)
         if bool((done0 != prev_done).any()):
             length = 1
         else:
@@ -934,22 +976,24 @@ def _advance_batch(gang: _Gang, n_ticks: int) -> int:
         length = window
 
     # power matrix over the candidate window, and every chip's package
-    # power from one zero-padded sequential fold
-    volt = np.where(running, freq["volt_run"], rows["volt_idle"])
-    fghz = np.where(running, freq["fghz_run"], rows["fghz_idle"])
-    ceff_t = (rows["ceff_row"] * factor) * pow_u[:length, inverse]
+    # power from one zero-padded sequential fold per chip pattern: the
+    # chip's lane columns in core order (-1 past its last core, where
+    # the fold pads) and its uncore watts
+    ceff_t = (ceff_c * factor_c) * pow_u[:length, col_phase]
     power = kernel.power_rows(
-        ceff_t,
-        volt,
-        fghz,
-        rows["scale_row"],
-        rows["leak_row"],
-        rows["idle_row"],
-        running,
+        ceff_t, volt_c, fghz_c, scale_c, leak_c, idle_c, run_c
     )
+    width = group.width
+    layout = np.full(n_chips * width, -1, dtype=np.intp)
+    layout[group.slots] = lane_col
+    layout = layout.reshape(n_chips, width)
+    pat_rep, chip_pat = _distinct(np.vstack((layout.T, group.uncore)))
+    pat_cols = layout[pat_rep].ravel()
+    pat_slots = np.flatnonzero(pat_cols >= 0)
     pkg = kernel.package_rows(
-        power, group.slots, n_chips, group.width, group.uncore
-    )
+        power[:, pat_cols[pat_slots]], pat_slots, len(pat_rep), width,
+        group.uncore[pat_rep],
+    )[:, chip_pat]
 
     # RAPL: replay the EWMA/cap recurrence; a tick is only valid while
     # the cap clears the fastest unparked base frequency (otherwise
@@ -1000,59 +1044,61 @@ def _advance_batch(gang: _Gang, n_ticks: int) -> int:
     # discounted by the wake-up efficiency
     last = commit - 1
     if first_hit is not None:
-        finisher = running & (first_hit == last)
+        finisher = run_s & (first_hit == last)
         any_finish = bool(finisher.any())
     else:
         finisher = None
         any_finish = False
-    wake = (gang.cstate == _C6) & running
-    any_wake = bool(wake.any())
-    inst = cand
+    wake_s = wake[state_rep]
+    any_wake = bool(wake_s.any())
+    inst = cand_s
     if any_finish or any_wake:
-        inst = cand[:commit].copy()
+        inst = cand_s[:commit].copy()
     if any_finish:
-        clamped = np.maximum(budget_row - r_acc[last], 0.0)
-        inst[last] = np.where(finisher, clamped, cand[last])
+        clamped = np.maximum(budget_s - r_acc[last], 0.0)
+        inst[last] = np.where(finisher, clamped, cand_s[last])
     if any_wake:
         inst[0] = np.where(
-            wake & (inst[0] > 0.0), inst[0] * rows["wake_row"], inst[0]
+            wake_s & (inst[0] > 0.0),
+            inst[0] * rows["wake_row"][state_rep],
+            inst[0],
         )
 
     # the last committed tick, kept for the write-back
-    gang.inst_last[:] = inst[last]
-    gang.ceff_last[:] = ceff_t[last]
-    gang.power_last[:] = power[last]
+    gang.inst_last[:] = inst[last, lane_state]
+    gang.ceff_last[:] = ceff_t[last, lane_col]
+    gang.power_last[:] = power[last, lane_col]
     gang.pkg_last[:] = pkg[last]
     # the view resolved at batch start; nothing refreshes it mid-batch
     gang.eff_last[:] = group.base
     np.copyto(gang.factor_last, factor, where=running)
     # per-core and package energy increments: the power rows scaled by
-    # the tick in place (the same `power * dt` product)
-    energy = power[:commit]
+    # the tick (the same `power * dt` product)
+    energy = power[:commit, state_col]
     energy *= dt
     pkg_energy = pkg[:commit] * dt
 
     # the resident running sums (the MSR-side and Core-side blocks take
-    # the same increments from different seeds; the eight fixed sums
-    # take the same increment every tick)
-    dt_running = np.where(running, dt, 0.0)
-    fixed_inc = np.concatenate(
-        (
-            dt_running,                                   # busy seconds
-            np.full(total, dt, dtype=np.float64),         # wall seconds
-            np.where(running, freq["aperf_run"], 0.0),
-            np.where(running, rows["mperf_run"], 0.0),
-            dt_running,                                   # C0 residency
-            np.where(running, 0.0, rows["c1_idle"]),
-            rows["c6_inc"],
-            dt_running,                                   # app elapsed_s
-        )
+    # the same increments from different seeds; the fixed sums take the
+    # same increment every tick), one lane per state
+    n_states = len(state_rep)
+    acc = np.concatenate(
+        (gang.blocks[:, state_rep].ravel(), gang.pkg_energy)
     )
-    _fold(gang.acc, inst, energy, cand, fixed_inc, pkg_energy)
+    _fold(
+        acc, inst, energy, cand_s, fixed[:, state_rep].ravel(), pkg_energy
+    )
+    sums = acc[: _SUMS * n_states].reshape(_SUMS, n_states)
     if any_finish:
-        retired[:] = np.where(finisher, r_acc[last] + clamped, retired)
+        sums[_RETIRED] = np.where(
+            finisher, r_acc[last] + clamped, sums[_RETIRED]
+        )
+    gang.blocks[:] = sums[:, lane_state]
+    gang.pkg_energy[:] = acc[sums.size :]
 
     if finisher is not None:
+        # per lane from here on
+        finisher = finisher[lane_state]
         done_last = np.where(running, finisher, True)
     else:
         done_last = ~running
@@ -1091,6 +1137,24 @@ def _advance_batch(gang: _Gang, n_ticks: int) -> int:
             np.logical_or.reduceat(finisher, gang.starts)
         ).tolist())
     return commit
+
+
+def _distinct(key: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
+    """Class the columns of the ``(fields, n)`` float64 matrix ``key``:
+    returns one member column of each class and every column's class.
+
+    Columns are compared as raw bytes (a void view), never as floats, so
+    ``-0.0`` and ``+0.0``, and NaNs of different payloads, stay apart:
+    two columns share a class only if every field is the same bit
+    pattern, so any member's result is every member's.
+    """
+    rows = np.ascontiguousarray(key.T, dtype=np.float64)
+    _, member, inverse = np.unique(
+        rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(),
+        return_index=True,
+        return_inverse=True,
+    )
+    return member, inverse
 
 
 def _replay_rapl(

@@ -17,10 +17,15 @@ gang-wide RAPL replay: mixed Skylake and Ryzen chips with staggered
 start times and their own limits, stepped as one stacked batch, with
 P-state retargets, park toggles and load reassignments landing on
 single members between runs (each moves a different tier of the
-cached gather rows).
+cached gather rows).  A last gang is built from duplicates: copies of
+a few templates and near-twins that each differ from their template in
+one input, so a lane the array engine shares with a duplicate that
+should have been stepped apart shows up.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -319,3 +324,157 @@ def test_wide_gang_is_bit_identical(skylake_members, ryzen_members, steps):
     window.close()
     for alone, resident in zip(solo, held):
         assert chip_fingerprint(alone) == chip_fingerprint(resident)
+
+
+#: the core every duplicate-gang member parks for one tick and idles for
+#: one before it gets a fresh app (the wake and residency twins vary the
+#: window): free in every drawn placement, which uses cores Ryzen has.
+WAKE_CORE = SKYLAKE.n_cores - 1
+#: instructions a budget twin has left when the gang starts
+BUDGET_LEFT = 2.0e8
+#: what sets a near-twin apart from its template, one input each
+TWIN_KINDS = (
+    "lead", "level", "park", "idle", "limit", "budget", "wake", "resid",
+    "model",
+)
+#: a model twin's app differs in one parameter, so in one column field
+MODEL_TWEAKS = (
+    lambda m: replace(m, c_eff=m.c_eff * 1.25),
+    lambda m: replace(m, base_ipc=m.base_ipc * 1.25),        # rate only
+    lambda m: replace(m, stall_power_factor=0.5 * m.stall_power_factor),
+    lambda m: replace(m, name=m.name + "/twin"),             # phase offset
+    lambda m: replace(m, phase=replace(m.phase, period_s=7.0)),
+    lambda m: replace(m, phase=replace(m.phase, ipc_amplitude=0.125)),
+    lambda m: replace(m, phase=replace(m.phase, power_amplitude=0.125)),
+)
+
+#: at most three templates, each a Skylake gang member as above
+dup_templates = st.lists(gang_members, min_size=1, max_size=3)
+#: a near-twin: its template's index (wrapping), its kind and a core
+dup_twins = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.sampled_from(TWIN_KINDS),
+        st.integers(0, RYZEN.n_cores - 1),
+    ),
+    max_size=8,
+)
+
+
+def build_duplicate(template, twin=None) -> Chip:
+    """A copy of ``template``, or its near-twin ``(kind, core)``.
+
+    Every member steps its lead ticks, then a two-tick park window on
+    :data:`WAKE_CORE` (parked, then idle), then gets a fresh app there,
+    then its RAPL limit.  A twin differs in one input: one more lead
+    tick (chip time, so phase), ``core``'s P-state one level down as the
+    gang starts (so its sums are still its template's), ``core`` parked,
+    an idle load on an app core, the next RAPL limit, an app core's
+    budget cut to finish :data:`BUDGET_LEFT` instructions into the
+    gang's run, the park window's ticks swapped, so the core wakes from
+    C6 when its app starts (the same residency sums, another C-state),
+    no park in the window (the same C-state, another C1/C6 split), or
+    one parameter of the fresh app's model (:data:`MODEL_TWEAKS`, picked
+    by ``core``: the same sums, another column).
+    """
+    placement, lead, limit_w, level = template
+    kind, core = twin if twin is not None else (None, 0)
+    app_cores = sorted(placement)
+    app_core = app_cores[core % len(app_cores)]
+    if kind == "budget":
+        probe = build_duplicate(template)
+        name = placement[app_core][0]
+        retired = probe.cores[app_core].load.app.retired_instructions
+        placement = {**placement, app_core: (name, retired + BUDGET_LEFT)}
+    chip = build_chip(placement)
+    for core_id in range(SKYLAKE.n_cores):
+        chip.set_requested_frequency(core_id, FREQS[-1 - level])
+    chip.advance_ticks(lead + (kind == "lead"))
+    window = {"wake": (False, True), "resid": (False, False)}
+    for parked in window.get(kind, (True, False)):
+        chip.park(WAKE_CORE, parked)
+        chip.advance_ticks(1)
+    chip.park(WAKE_CORE, False)
+    model = spec_app("leela", steady=True)
+    if kind == "model":
+        model = MODEL_TWEAKS[core % len(MODEL_TWEAKS)](model)
+    chip.assign_load(WAKE_CORE, BatchCoreLoad(
+        RunningApp(model, instance=WAKE_CORE),
+        SKYLAKE.reference_frequency_mhz,
+    ))
+    if kind == "level":
+        chip.set_requested_frequency(core, FREQS[-2 - level])
+    if kind == "park":
+        chip.park(core, True)
+    if kind == "idle":
+        chip.assign_load(app_core, IdleLoad())
+    if kind == "limit":
+        next_limit = RAPL_LIMITS.index(limit_w) + 1
+        limit_w = RAPL_LIMITS[next_limit % len(RAPL_LIMITS)]
+    chip.set_rapl_limit(limit_w)
+    return chip
+
+
+def build_duplicates(templates, twins) -> list[Chip]:
+    """:data:`soa.RAPL_GANG_MIN_CHIPS` + 2 copies of the templates in
+    turn, with the twins inserted at scattered positions."""
+    chips = [
+        build_duplicate(templates[i % len(templates)])
+        for i in range(soa.RAPL_GANG_MIN_CHIPS + 2)
+    ]
+    for j, (index, kind, core) in enumerate(twins):
+        twin = build_duplicate(templates[index % len(templates)], (kind, core))
+        chips.insert((7 * j + 3) % (len(chips) + 1), twin)
+    return chips
+
+
+#: two templates, one with steady and budgeted copies of an app at the
+#: reference P-state (level 6, 2,200 MHz: a finished app's idle rows
+#: equal its running ones), one at 2,500 MHz; and one example per twin
+#: kind on cores chosen so the twin differs where it matters: an idle
+#: core parked, an app core idled, every model parameter.
+DUP_TEMPLATES = [
+    ({0: ("leela", None), 1: ("cactusBSSN", None), 2: ("leela", None),
+      3: ("cactusBSSN", 3.0e9)}, 6, 50.0, 6),
+    ({0: ("omnetpp", None), 2: ("gcc", None)}, 11, 38.0, 3),
+]
+DUP_EXAMPLES = {
+    "lead": [(1, "lead", 0)],
+    "level": [(0, "level", 2)],
+    "park": [(0, "park", 5)],
+    "idle": [(0, "idle", 2)],
+    "limit": [(1, "limit", 0)],
+    "budget": [(0, "budget", 0)],
+    "wake": [(0, "wake", 0)],
+    "resid": [(0, "resid", 0)],
+    "model": [(0, "model", core) for core in range(len(MODEL_TWEAKS))],
+}
+
+
+def _dup_examples(test):
+    for twins in DUP_EXAMPLES.values():
+        test = example(DUP_TEMPLATES, twins, [60, 200])(test)
+    return test
+
+
+@given(
+    dup_templates,
+    dup_twins,
+    st.lists(st.integers(8, 200), min_size=1, max_size=3),
+)
+@_dup_examples
+@settings(max_examples=3, deadline=None)
+def test_duplicate_gang_is_bit_identical(templates, twins, steps):
+    """A gang of copies of at most three templates, with near-twins that
+    each differ from their template in one input, stepped as one stacked
+    batch (each distinct lane once), matches every chip stepped alone
+    by the scalar loop: a shared column, chip pattern or state that
+    should have been two shows here."""
+    gang = build_duplicates(templates, twins)
+    solo = build_duplicates(templates, twins)
+    for n_ticks in steps:
+        soa.advance_chips(gang, n_ticks)
+        for chip in solo:
+            chip.advance_ticks(n_ticks)
+        for alone, stacked in zip(solo, gang):
+            assert chip_fingerprint(alone) == chip_fingerprint(stacked)

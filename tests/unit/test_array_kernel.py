@@ -597,6 +597,75 @@ class TestPlacementRows:
         assert built == []
 
 
+class TestDistinctKeys:
+    """Lanes are classed by the bytes of their keys, never as floats."""
+
+    @staticmethod
+    def _check(key):
+        member, inverse = soa._distinct(key)
+        cols = [key[:, j].tobytes() for j in range(key.shape[1])]
+        for j, col in enumerate(cols):
+            assert cols[member[inverse[j]]] == col
+        assert len(member) == len(set(cols))
+        return member
+
+    def test_signed_zeros_and_nan_payloads_stay_apart(self):
+        # +0.0, -0.0, +0.0, NaN, NaN with payload 1, NaN
+        words = [0, 1 << 63, 0, 0x7FF8 << 48, (0x7FF8 << 48) | 1, 0x7FF8 << 48]
+        key = np.array(
+            [words, [0x3FF0 << 48] * len(words)], dtype=np.uint64
+        ).view(np.float64)
+        assert len(self._check(key)) == 4
+
+
+class TestDistinctLanes:
+    """A gang of identical nodes computes each distinct lane once: the
+    power matrix has one column per distinct lane column and the fold
+    one lane per distinct lane state, never one per lane."""
+
+    NODES = 64
+
+    def _fleet_node(self):
+        from repro.experiments.fleet_exp import fleet_config
+
+        apps = fleet_config(1, 1, 1, schedule=None).nodes[0].apps
+        return build_stack(ExperimentConfig(
+            platform="skylake", policy="frequency-shares", limit_w=40.0,
+            apps=apps, tick_s=5e-3, engine="array",
+        )).chip
+
+    def test_identical_nodes_step_once_per_distinct_lane(self, monkeypatch):
+        widths: dict[str, list[int]] = {"power_rows": [], "fold": []}
+        power_rows = kernel.power_rows
+        fold = soa._fold
+
+        def recording_power_rows(ceff_t, *args):
+            widths["power_rows"].append(ceff_t.shape[1])
+            return power_rows(ceff_t, *args)
+
+        def recording_fold(acc, instr, energy, *args):
+            widths["fold"].append(energy.shape[1])
+            return fold(acc, instr, energy, *args)
+
+        monkeypatch.setattr(kernel, "power_rows", recording_power_rows)
+        monkeypatch.setattr(soa, "_fold", recording_fold)
+        gang = [self._fleet_node() for _ in range(self.NODES)]
+        lanes = sum(len(chip.cores) for chip in gang)
+        assert lanes == 10 * self.NODES
+        soa.advance_chips(gang, 300)
+        # the first tick flips the idle cores' done flags: a one-tick
+        # batch, then the rest
+        assert len(widths["power_rows"]) == len(widths["fold"]) >= 2
+        # four apps, two of them copies, and the idle cores: a handful
+        assert max(widths["power_rows"]) <= 4
+        assert max(widths["fold"]) <= 4
+
+        solo = self._fleet_node()
+        solo.advance_ticks(300)
+        for chip in gang:
+            assert chip_fingerprint(chip) == chip_fingerprint(solo)
+
+
 class TestLockstepWindow:
     """A lockstep window gathers and writes back each chip once; only a
     per-node consumer adds a round trip, and only for its own chip."""
@@ -717,6 +786,44 @@ class TestLockstepWindow:
         assert caps[0] == caps[1]
         assert 2000.0 < caps[0] < held.platform.max_frequency_mhz
         assert chip_fingerprint(held) == chip_fingerprint(solo)
+
+    def test_load_assigned_to_a_held_chip_counts_as_active(self):
+        """An app assigned to an idle core of a chip the window holds
+        clears that core's last sample, as on the scalar path; the
+        write-back before the next batch must leave it cleared, or the
+        refreshed P-state view counts the core idle and the next tick
+        runs its chip under the wrong turbo ceiling."""
+        platform = get_platform("skylake")
+
+        def app(core, name):
+            return BatchCoreLoad(
+                RunningApp(spec_app(name, steady=True), instance=core),
+                platform.reference_frequency_mhz,
+            )
+
+        def build():
+            chip = Chip(platform, tick_s=5e-3)
+            for core in range(4):
+                chip.assign_load(core, app(core, "leela"))
+            for core in range(platform.n_cores):
+                chip.set_requested_frequency(
+                    core, platform.pstates.frequencies_mhz[-1]
+                )
+            return chip
+
+        held = [build() for _ in range(3)]
+        solo = [build() for _ in range(3)]
+        window = soa.Window(held)
+        for n_ticks, assign in ((20, False), (8, True)):
+            if assign:
+                for chip in (held[0], solo[0]):
+                    chip.assign_load(5, app(5, "imagick"))
+            soa.advance_chips(held, n_ticks, window)
+            for chip in solo:
+                chip.advance_ticks(n_ticks)
+        window.close()
+        for alone, resident in zip(solo, held):
+            assert chip_fingerprint(alone) == chip_fingerprint(resident)
 
 
 class TestEngineSelector:

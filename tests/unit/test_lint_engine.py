@@ -11,6 +11,7 @@ from repro.analysis import Baseline, SourceFile, lint_paths, lint_sources
 from repro.analysis.baseline import BaselineEntry
 from repro.analysis.cli import run_lint
 from repro.analysis.engine import (
+    META_DEAD_ENTRY,
     META_MALFORMED,
     META_PARSE,
     META_UNKNOWN,
@@ -210,6 +211,51 @@ class TestBaseline:
         report = lint_text(VIOLATION, baseline=ledger)
         assert report.ok
         assert len(report.baselined) == 1
+
+    SENTINEL = (
+        "import random\n\n\ndef f():\n"
+        "    # repro-lint: disable=rng-provenance — test sentinel\n"
+        "    return random.random()\n"
+    )
+
+    def dead_ledger(self, path="src/repro/hw/snippet.py"):
+        """The sentinel's entry plus one for a line that no longer
+        exists in ``path``."""
+        live = Baseline.from_findings(self.suppressed_report().suppressed)
+        return Baseline(live.entries + (BaselineEntry(
+            rule="float-equality", path=path, context="if x == 0.0:",
+            reason="deleted long ago", line=12,
+        ),))
+
+    def test_check_mode_blocks_dead_entry(self):
+        report = lint_text(
+            self.SENTINEL, baseline=self.dead_ledger(), check=True
+        )
+        assert not report.ok
+        [dead] = report.blocking
+        assert dead.rule == META_DEAD_ENTRY
+        assert (dead.path, dead.line) == ("src/repro/hw/snippet.py", 12)
+        assert "float-equality" in dead.message
+        assert "if x == 0.0:" in dead.message
+
+    def test_dead_entry_passes_without_check(self):
+        report = lint_text(self.SENTINEL, baseline=self.dead_ledger())
+        assert report.ok
+
+    def test_dead_entry_of_unlinted_file_is_ignored(self):
+        report = lint_text(
+            self.SENTINEL,
+            baseline=self.dead_ledger("src/repro/hw/elsewhere.py"),
+            check=True,
+        )
+        assert report.ok
+
+    def test_one_dead_entry_per_unmatched_copy(self):
+        ledger = Baseline.from_findings(self.suppressed_report().suppressed)
+        report = lint_text(
+            self.SENTINEL, baseline=Baseline(ledger.entries * 3), check=True
+        )
+        assert [f.rule for f in report.blocking] == [META_DEAD_ENTRY] * 2
 
 
 class TestLintPaths:
