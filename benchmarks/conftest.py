@@ -1,9 +1,9 @@
-"""Benchmark-harness helpers.
+"""Paper-shape check helpers.
 
-Every benchmark regenerates one table or figure from the paper's
-evaluation and asserts its *shape* — who wins, by roughly what factor,
-where the crossovers fall (see DESIGN.md section 4).  Wall-clock time of
-the regeneration is what pytest-benchmark reports.
+Every check regenerates one table or figure from the paper's evaluation
+and asserts its *shape* — who wins, by roughly what factor, where the
+crossovers fall (see DESIGN.md section 4).  Nothing here is timed: every
+speed claim comes from ``perfbench/``.
 
 Durations are trimmed relative to the paper's 600 s runs; the simulated
 system reaches steady state within a few daemon iterations, so shorter
@@ -16,13 +16,10 @@ import pytest
 
 
 @pytest.fixture
-def regen(benchmark):
-    """Run an experiment exactly once under the benchmark timer."""
+def regen():
+    """Run an experiment exactly once."""
 
     def _run(fn, *args, **kwargs):
-        return benchmark.pedantic(
-            fn, args=args, kwargs=kwargs, rounds=1, iterations=1,
-            warmup_rounds=0,
-        )
+        return fn(*args, **kwargs)
 
     return _run

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 from repro.cluster.config import ClusterConfig, NodeSpec
 from repro.config import ExperimentConfig, ExperimentStack, build_stack
+from repro.core.daemon import Reading
 from repro.errors import ConfigError
 
 #: synthetic draw an idle node reports, as a fraction of its cap floor.
@@ -225,11 +226,12 @@ class ClusterNode:
     ) -> NodeEpochReport:
         """Condense the epoch's daemon samples into the demand report."""
         assert self.stack is not None
-        window = self.stack.daemon.history[self._history_mark:]
-        self._history_mark = len(self.stack.daemon.history)
+        history = self.stack.daemon.history
+        readings = history.readings(self._history_mark)
+        self._history_mark = len(history)
         if crashed:
             self._crashed = True
-        return self._report(epoch, cap_w, t1, window, crashed)
+        return self._report(epoch, cap_w, t1, readings, crashed)
 
     def step_epoch(
         self,
@@ -283,10 +285,15 @@ class ClusterNode:
         )
 
     def _report(
-        self, epoch: int, cap_w: float, t_end_s: float, window, crashed: bool
+        self,
+        epoch: int,
+        cap_w: float,
+        t_end_s: float,
+        readings: list[Reading],
+        crashed: bool,
     ) -> NodeEpochReport:
         assert self.stack is not None
-        if not window:
+        if not readings:
             # a tick storm (or a crash right at the epoch edge) ate
             # every daemon deadline: no fresh demand this epoch
             return NodeEpochReport(
@@ -303,15 +310,17 @@ class ClusterNode:
                 mode=self.stack.daemon.mode.value,
                 crashed=crashed,
             )
-        n = len(window)
-        mean_power = sum(s.package_power_w for s in window) / n
+        n = len(readings)
+        # Python's sum over the samples in order, as over the samples
+        # themselves (compensated from Python 3.12 on)
+        mean_power = sum([r.package_power_w for r in readings]) / n
         max_mhz = self.stack.platform.max_frequency_mhz
         shortfall = 0.0
-        for sample in window:
-            freqs = sample.app_frequency_mhz.values()
-            mean_freq = sum(freqs) / len(sample.app_frequency_mhz)
+        for reading in readings:
+            freqs = reading.app_frequency_mhz
+            mean_freq = sum(freqs) / len(freqs)
             shortfall += min(max(1.0 - mean_freq / max_mhz, 0.0), 1.0)
-        last = window[-1]
+        last = readings[-1]
         return NodeEpochReport(
             name=self.spec.name,
             epoch=epoch,
@@ -320,11 +329,9 @@ class ClusterNode:
             mean_power_w=mean_power,
             throttle_pressure=shortfall / n,
             headroom_w=max(cap_w - mean_power, 0.0),
-            parked_cores=sum(
-                1 for parked in last.app_parked.values() if parked
-            ),
-            quarantined_cores=len(last.health.quarantined),
+            parked_cores=last.parked,
+            quarantined_cores=last.quarantined,
             samples=n,
-            mode=last.health.mode,
+            mode=last.mode,
             crashed=crashed,
         )

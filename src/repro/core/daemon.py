@@ -43,7 +43,9 @@ holdover, quarantine, and mode transition.
 from __future__ import annotations
 
 import enum
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple, Protocol, overload
 
 from repro.errors import ConfigError, MSRError, ReproError
 from repro.core.policy import Policy
@@ -141,6 +143,101 @@ class DaemonSample:
     health: HealthRecord = field(default_factory=HealthRecord)
 
 
+class Reading(NamedTuple):
+    """What the cluster layer reads of one sample
+    (:meth:`SampleHistory.readings`), without building it."""
+
+    package_power_w: float
+    #: per app, in app order
+    app_frequency_mhz: Collection[float]
+    #: parked apps
+    parked: int
+    #: quarantined cores
+    quarantined: int
+    mode: str
+
+
+class SampleRows(Protocol):
+    """Samples kept as rows, one per daemon (the lockstep pass's,
+    :mod:`repro.core.gang`)."""
+
+    def sample(self, row: int) -> DaemonSample:
+        """The sample of ``row``, built."""
+
+    def reading(self, row: int) -> Reading:
+        """The reading of ``row``, without building its sample."""
+
+
+class SampleHistory(Sequence[DaemonSample]):
+    """A daemon's samples in iteration order.
+
+    :meth:`PowerDaemon.iteration` appends built samples; the lockstep
+    pass appends its row of a :class:`SampleRows` block instead, and a
+    row becomes a :class:`DaemonSample` only when something reads it
+    (then once: the sample replaces the row).  :meth:`readings` reads
+    what the cluster layer needs from rows and samples alike.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self) -> None:
+        self._entries: list[DaemonSample | tuple[SampleRows, int]] = []
+
+    def append(self, sample: DaemonSample) -> None:
+        self._entries.append(sample)
+
+    def append_row(self, rows: SampleRows, row: int) -> None:
+        self._entries.append((rows, row))
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @overload
+    def __getitem__(self, index: int) -> DaemonSample: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[DaemonSample]: ...
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        entry = self._entries[index]
+        if isinstance(entry, tuple):
+            rows, row = entry
+            entry = self._entries[index] = rows.sample(row)
+        return entry
+
+    def __iter__(self) -> Iterator[DaemonSample]:
+        for index in range(len(self._entries)):
+            yield self[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (SampleHistory, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def readings(self, start: int = 0) -> list[Reading]:
+        """The readings of every sample from ``start`` on, in order."""
+        readings = []
+        for entry in self._entries[start:]:
+            if isinstance(entry, tuple):
+                readings.append(entry[0].reading(entry[1]))
+                continue
+            readings.append(Reading(
+                entry.package_power_w,
+                entry.app_frequency_mhz.values(),
+                sum(1 for parked in entry.app_parked.values() if parked),
+                len(entry.health.quarantined),
+                entry.health.mode,
+            ))
+        return readings
+
+
 @dataclass
 class _QuarantineEntry:
     """Backoff state for one quarantined core."""
@@ -180,7 +277,7 @@ class PowerDaemon:
         self._iteration = 0
         self._targets: dict[str, float] = {}
         self._policy_parked: set[str] = set()
-        self.history: list[DaemonSample] = []
+        self.history = SampleHistory()
         self._started = False
         # -- resilience state -------------------------------------------------
         self._mode = DaemonMode.NORMAL

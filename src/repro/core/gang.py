@@ -23,23 +23,28 @@ cluster default — one pass does for all of them what
    runs across every daemon that needs one.
 3. **Quantisation and programming.**  Targets snap to the grid with
    ``np.searchsorted`` under :func:`~repro.units.quantize_nearest`'s
-   rule and are written through the MSR file exactly as
-   :meth:`CpuFreqInterface.set_speed_mhz` writes them.
-4. **Commit.**  Each daemon gets the state and :class:`DaemonSample` its
-   own iteration would have left, the sample built from its rows.  The
-   deadline's counters and sample stay in :class:`_Latches` as the
-   daemon's next baseline; they reach ``turbostat._previous`` and
-   ``_last_good`` when the window writes the chip back — at window end,
-   or before anything reads the daemon's objects.
+   rule.  Every request of the pass, with the register value
+   :meth:`CpuFreqInterface.set_speed_mhz` would write for it, goes into
+   the window's request row in one :meth:`Window.program` call: the
+   next batch steps on it, and the write-back hands it to the chip's
+   registers, requests and P-state view.
+4. **Commit.**  Each daemon gets the state its own iteration would have
+   left, and its history one row of the pass's sample block
+   (:class:`_Samples`), which becomes the :class:`DaemonSample` its
+   iteration would have recorded only when read.  The deadline's
+   counters and sample stay in :class:`_Latches` as the daemon's next
+   baseline; they reach ``turbostat._previous`` and ``_last_good`` when
+   the window writes the chip back — at window end, or before anything
+   reads the daemon's objects.
 
-No MSR read, counter snapshot or turbostat sample is built per
-deadline.  The daemon, policy and chip objects stay the state of record
-for everything that steers the chip; the pass's output is bit-identical
-to :meth:`PowerDaemon.iteration`, which stays the fallback and the
-oracle (DESIGN §13.6): a daemon the pass cannot reproduce exactly is
-found before anything is mutated and is left to its own iteration,
-which the engine runs on the written-back chip.  Bit identity rests on
-three rules besides §13.1's:
+No MSR read or write, counter snapshot, turbostat sample or daemon
+sample is built per deadline.  The daemon and policy objects stay the
+state of record for the policy; the pass's output is bit-identical to
+:meth:`PowerDaemon.iteration`, which stays the fallback and the oracle
+(DESIGN §13.6): a daemon the pass cannot reproduce exactly is found
+before anything is mutated and is left to its own iteration, which the
+engine runs on the written-back chip.  Bit identity rests on three
+rules besides §13.1's:
 
 * claim sums are left folds column by column in app order, as
   :func:`repro.core.minfund.left_sum` adds them;
@@ -55,7 +60,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.daemon import DaemonMode, DaemonSample, PowerDaemon
+from repro.core.daemon import (
+    DaemonMode,
+    DaemonSample,
+    HealthRecord,
+    PowerDaemon,
+    Reading,
+)
 from repro.core.frequency_shares import FrequencySharesPolicy
 from repro.errors import FrequencyError
 from repro.hw import msr as msrdef
@@ -195,28 +206,36 @@ def _run_pass(lanes: list[_Lane], window: Window) -> list[_Lane]:
             daemon.policy._targets = dict(zip(daemon._core_of, values))
 
     # -- quantise, program, commit ----------------------------------------
-    targets = [
+    taken = [lanes[row][0] for row in rows]
+    targets = np.array([
         list(map(daemon.policy._targets.__getitem__, daemon._core_of))
-        for daemon in (lanes[row][0] for row in rows)
-    ]
-    levels = _quantize(np.array(targets), grid).tolist()
-    for row, row_levels in zip(rows, levels):
-        daemon, now_s, _ = lanes[row]
+        for daemon in taken
+    ])
+    cores = np.array([list(daemon._core_of.values()) for daemon in taken])
+    levels = _quantize(targets, grid)
+    window.program(
+        [daemon.chip for daemon in taken],
+        cores,
+        np.array(grid)[levels],
+        np.array([value for _, value in requests], dtype=np.int64)[levels],
+        requests[0][0],
+    )
+    samples = _Samples(telemetry, rows, taken, cores, targets)
+    for j, daemon in enumerate(taken):
         chip = daemon.chip
-        write = daemon.msr.write
         fail_streak = daemon._core_fail_streak
-        for core_id, level in zip(daemon._core_of.values(), row_levels):
-            write(core_id, *requests[level])
+        for core_id in daemon._core_of.values():
             fail_streak[core_id] = 0
-            chip.park(core_id, False)
+            if chip.cores[core_id].parked:
+                chip.park(core_id, False)
         daemon._iteration += 1
         daemon._iter_retries = 0
         daemon._iter_failed_writes = 0
         daemon._targets = dict(daemon.policy._targets)
         daemon._policy_parked = set()
         daemon._consecutive_failures = 0
-        daemon.history.append(telemetry.record(row, daemon, now_s))
-    latches.commit(telemetry, rows, [lanes[row][0] for row in rows])
+        daemon.history.append_row(samples, j)
+    latches.commit(telemetry, rows, taken)
     return [lanes[row] for row in np.flatnonzero(~ok).tolist()]
 
 
@@ -310,38 +329,80 @@ class _Telemetry:
         self.dt = dt_s
         self.arrays = (freq, busy, ips, core_w, pkg_w)
         self.pkg_w = pkg_w.tolist()
-        self.freq = freq.tolist()
-        self.ips = ips.tolist()
-        self.core_w = (
-            core_w.tolist() if core_w is not None
-            else [[None] * n_cores] * len(lanes)
-        )
 
-    def record(
-        self, row: int, daemon: PowerDaemon, now_s: float
-    ) -> DaemonSample:
-        """The :class:`DaemonSample` of a fresh, valid iteration, as
-        :meth:`PowerDaemon._record` builds it from the sample."""
-        freq = self.freq[row]
-        ips = self.ips[row]
-        power = self.core_w[row]
-        core_of = daemon._core_of
+
+class _Samples:
+    """The samples one pass derived, one row per daemon it took, kept as
+    rows: each is the :class:`DaemonSample` :meth:`PowerDaemon._record`
+    builds for a fresh, valid iteration, built only when read
+    (:class:`~repro.core.daemon.SampleHistory`)."""
+
+    def __init__(
+        self,
+        telemetry: _Telemetry,
+        rows: list[int],
+        daemons: list[PowerDaemon],
+        cores: np.ndarray,
+        targets: np.ndarray,
+    ):
+        at = np.asarray(rows)
+        freq, _, ips, core_w, pkg_w = telemetry.arrays
+        self.core_of = [daemon._core_of for daemon in daemons]
+        #: each daemon's iteration count after the pass
+        self.iteration = [daemon._iteration + 1 for daemon in daemons]
+        self.counts = [
+            (daemon._safe_mode_entries, daemon._contained_errors)
+            for daemon in daemons
+        ]
+        self.now = telemetry.now[at]
+        self.pkg = pkg_w[at]
+        # per app, in each daemon's app order
+        self.freq = np.take_along_axis(freq[at], cores, axis=1)
+        self.ips = np.take_along_axis(ips[at], cores, axis=1)
+        self.power = (
+            None if core_w is None
+            else np.take_along_axis(core_w[at], cores, axis=1)
+        )
+        self.targets = targets
+        self._lists: tuple[list, ...] | None = None
+
+    def _rows(self) -> tuple[list, ...]:
+        """The rows as Python floats, converted once."""
+        if self._lists is None:
+            self._lists = tuple(
+                None if rows is None else rows.tolist()
+                for rows in (self.now, self.pkg, self.freq, self.ips,
+                             self.power, self.targets)
+            )
+        return self._lists
+
+    def reading(self, row: int) -> Reading:
+        _, pkg, freq, _, _, _ = self._rows()
+        # nothing is parked: the pass takes no daemon with fail-safe
+        # parking or quarantine, and it clears policy parking
+        return Reading(pkg[row], freq[row], 0, 0, DaemonMode.NORMAL.value)
+
+    def sample(self, row: int) -> DaemonSample:
+        now, pkg, freq, ips, power, targets = self._rows()
+        core_of = self.core_of[row]
+        safe_mode_entries, contained_errors = self.counts[row]
         return DaemonSample(
-            iteration=daemon._iteration,
-            time_s=now_s,
-            package_power_w=self.pkg_w[row],
-            app_frequency_mhz={
-                label: freq[core] for label, core in core_of.items()
-            },
-            app_ips={label: ips[core] for label, core in core_of.items()},
-            app_power_w={
-                label: power[core] for label, core in core_of.items()
-            },
-            # nothing is parked: the pass takes no daemon with fail-safe
-            # parking or quarantine, and it clears policy parking
+            iteration=self.iteration[row],
+            time_s=now[row],
+            package_power_w=pkg[row],
+            app_frequency_mhz=dict(zip(core_of, freq[row])),
+            app_ips=dict(zip(core_of, ips[row])),
+            app_power_w=(
+                dict.fromkeys(core_of) if power is None
+                else dict(zip(core_of, power[row]))
+            ),
             app_parked=dict.fromkeys(core_of, False),
-            targets_mhz=dict(daemon._targets),
-            health=daemon._health(True, False),
+            targets_mhz=dict(zip(core_of, targets[row])),
+            health=HealthRecord(
+                mode=DaemonMode.NORMAL.value,
+                safe_mode_entries=safe_mode_entries,
+                contained_errors=contained_errors,
+            ),
         )
 
 

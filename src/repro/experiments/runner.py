@@ -81,9 +81,11 @@ def _standalone_reference_ips(platform_name: str, benchmark: str) -> float:
 def clear_standalone_reference_cache() -> None:
     """Drop the (platform, benchmark) baseline memo.
 
-    Test hook: equivalence suites that compare engine traces must not
-    observe baselines cached by an earlier test against a same-named
-    platform object with different tables.
+    Test hook, for a suite that must start from an empty memo.  The
+    memo is keyed on the registry name, and every lookup of a registry
+    platform returns one shared spec; a custom spec that reuses a
+    registry name with other tables is not equal to it and bypasses
+    the memo (:func:`standalone_reference_ips`).
     """
     _standalone_reference_ips.cache_clear()
 

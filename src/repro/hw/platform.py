@@ -232,10 +232,21 @@ PLATFORM_REGISTRY = {
 }
 
 
+#: the spec each registry factory built: specs are frozen, so every
+#: lookup of one platform shares one (a fleet boots hundreds of nodes)
+_SPECS: dict[object, PlatformSpec] = {}
+
+
 def get_platform(name: str) -> PlatformSpec:
-    """Look up a platform by short or full name."""
+    """Look up a platform by short or full name; every lookup of one
+    platform returns the same frozen spec."""
     try:
-        return PLATFORM_REGISTRY[name.lower()]()
+        factory = PLATFORM_REGISTRY[name.lower()]
     except KeyError:
         known = ", ".join(sorted(PLATFORM_REGISTRY))
         raise ConfigError(f"unknown platform {name!r}; known: {known}") from None
+    spec = _SPECS.get(factory)
+    if spec is None:
+        # repro-lint: disable=shared-state-race — pure memo of a frozen spec; every process builds identical specs, nothing reads across processes
+        spec = _SPECS[factory] = factory()
+    return spec

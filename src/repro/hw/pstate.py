@@ -69,16 +69,18 @@ class PStateTable:
         self._grid_voltage: dict[float, float] = {
             p.frequency_mhz: p.voltage_v for p in ordered
         }
+        self._hash = hash(self._pstates)
 
     def __eq__(self, other: object) -> bool:
         # value equality so PlatformSpec (a frozen dataclass holding a
-        # table) compares by content; registry lookups rebuild specs
+        # table) compares by content; the platform factories build a
+        # new spec per call
         if not isinstance(other, PStateTable):
             return NotImplemented
         return self._pstates == other._pstates
 
     def __hash__(self) -> int:
-        return hash(self._pstates)
+        return self._hash
 
     @classmethod
     def from_range(

@@ -10,19 +10,31 @@ State is held for a *window* (:class:`Window`): one
 :func:`advance_chips` call, or a whole :func:`repro.sim.engine.\
 run_lockstep` call that spans many deadlines.  Within it the rule is
 
-* everything that *steers* a chip stays on its objects: P-state
-  requests, parking, load placement and RAPL limits are read from them
-  (through the placement and view generations below) at every batch;
 * everything a chip *produces* lives in the window's arrays from the
   chip's gather on: simulated time, the per-core counters and energy,
   C-state residency, app progress, package energy, the RAPL average and
-  cap, and the last tick's samples and powers.
+  cap, and the last tick's samples and powers;
+* so do the P-state requests the lockstep daemon pass
+  (:mod:`repro.core.gang`) programs (:meth:`Window.program`): they go
+  into the gang's request row, and the next batch derives the chip's
+  P-state view from it in one vector step — what
+  ``Chip._refresh_pstate_view`` would compute, with the turbo ceiling
+  taken when the pass first programs the chip (only a ``done`` flip or
+  a placement change moves it, and both unload the chip);
+* everything else that *steers* a chip stays on its objects: parking,
+  load placement and RAPL limits are read from them (through the
+  placement generation below) at every batch, and a request written on
+  a held chip's objects (its dirty flag) makes the objects the state of
+  record again.
 
-A chip's outputs are written back (*unloaded*) to its objects at window
-end, and earlier only for a consumer that reads the objects: a ``done``
-flip (the next P-state view refresh counts ``Core.active``, which reads
-the last sample), a placement change, the fused fallback, and — through
-:meth:`Window.release` — any per-node software that runs in place.  The
+A chip is written back (*unloaded*) to its objects at window end, and
+earlier only for a consumer that reads the objects: a ``done`` flip
+(the next P-state view refresh counts ``Core.active``, which reads the
+last sample), a placement change, a request written on its objects,
+the fused fallback, and — through :meth:`Window.release` — any per-node
+software that runs in place.  The write-back hands over the request row
+too: the registers and requests the pass's writes would have set, and
+the P-state view and dirty flag its refreshes would have left.  The
 chip is gathered again before its next batch.
 
 Equivalence contract (DESIGN.md section 13): results are bit-identical
@@ -62,19 +74,20 @@ to the scalar reference.  That holds because
 Gathering runs at three cadences:
 
 * **placement rows** (:class:`_Placement`) — load parameters, parked
-  masks, the idle-variant roofline and voltage, budgets, phase
-  parameters and residency increments — are cached on the chip and
-  keyed on ``Chip._placement_generation``, which only ``assign_load``
-  and a ``park`` that flips the flag bump;
+  masks, AVX caps, the idle-variant roofline and voltage, budgets,
+  phase parameters and residency increments, as one ``(fields, cores)``
+  block — are cached on the chip and keyed on
+  ``Chip._placement_generation``, which only ``assign_load`` and a
+  ``park`` that flips the flag bump;
 * **frequency rows** — the running-variant roofline, voltage, f_GHz and
   APERF increments, and each chip's fastest unparked base frequency —
   follow the resolved P-state view, which the daemon moves every period
   while placement stays put.  :class:`_Stacked` computes them for a
-  whole stacked group in one vector pass, keyed on the chips' view
-  *generations* (not on who cleared the dirty flag: a refresh run by
-  the fused loop, which consumes ``_dirty``, must still invalidate
-  them), and re-concatenates the group's placement rows only when a
-  placement serial changes;
+  whole stacked group in one vector pass over the gang's base row,
+  keyed on the chips' view *generations* (not on who cleared the dirty
+  flag: a refresh run by the fused loop, which consumes ``_dirty``,
+  must still invalidate them), and re-stacks the group's placement
+  blocks (one concatenate) only when a placement serial changes;
 * **live state** (:class:`_Gang`) is gathered once per chip per window,
   and again only after the chip was unloaded.  The ``running`` mask
   folds in ``app.finished``, which a batch changes only through a
@@ -90,7 +103,7 @@ from typing import TYPE_CHECKING, NamedTuple, Protocol
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import PlatformError, SimulationError
 from repro.hw.cstates import EXIT_LATENCY_S, CState
 from repro.hw.msr import ENERGY_COUNTER_MASK
 from repro.sim import fused, kernel
@@ -145,6 +158,24 @@ _INSTR, _ENERGY, _RETIRED, _APERF, _MPERF = 0, 2, 4, 7, 8
 #: counters at or above this do not convert to a 64-bit integer exactly
 #: in numpy; the caller falls back to the objects' own conversion.
 _CONVERTIBLE = float(1 << 62)
+
+#: the placement rows, in the order of :attr:`_Placement.block`
+_FIELDS = (
+    "ref_row", "mem_row", "ipc_row", "stall_row", "rate_idle",
+    "factor_idle", "volt_idle", "fghz_idle", "mperf_run", "ceff_row",
+    "period_row", "offset_row", "ipc_amp_row", "pow_amp_row", "budget_row",
+    "scale_row", "leak_row", "idle_row", "wake_row", "c1_idle", "c6_inc",
+    "avx_row", "parked_row", "core_row",
+)
+
+
+def _named(block: "np.ndarray") -> dict[str, "np.ndarray"]:
+    """The rows of a placement block by name; the parked mask and the
+    core positions as booleans and indices."""
+    rows = dict(zip(_FIELDS, block))
+    rows["parked_row"] = rows["parked_row"].astype(bool)
+    rows["core_row"] = rows["core_row"].astype(np.intp)
+    return rows
 
 
 def _grid_arrays(table: "PStateTable") -> tuple["np.ndarray", "np.ndarray"]:
@@ -268,7 +299,8 @@ class _Placement:
         )
         parked_row = np.asarray(parked, dtype=bool)
         tsc_scaled = (chip._tsc_mhz * 1e6) * dt
-        self.rows: dict[str, "np.ndarray"] = {
+        avx_mhz = platform.avx_max_frequency_mhz
+        columns = {
             "ref_row": ref_row,
             "mem_row": mem_row,
             "ipc_row": ipc_row,
@@ -290,21 +322,30 @@ class _Placement:
             "wake_row": np.full(n, wake_eff, dtype=np.float64),
             "c1_idle": np.where(parked_row, 0.0, dt),
             "c6_inc": np.where(parked_row, dt, 0.0),
+            # the AVX cap a core's view takes (none for other loads)
+            "avx_row": np.asarray(
+                [avx_mhz if core.load.uses_avx else math.inf
+                 for core in chip.cores],
+                dtype=np.float64,
+            ),
             "parked_row": parked_row,
             # each core's position within its chip (package-sum layout)
             "core_row": np.arange(n),
         }
+        #: every row as one ``(fields, cores)`` block, for stacking
+        self.block = np.stack([columns[name] for name in _FIELDS])
+        self.rows: dict[str, "np.ndarray"] = _named(self.block)
 
 
 class _Stacked:
     """The gather rows of one group of chips stacked along the core axis.
 
-    Built once per list of placement serials: the chips' placement rows
-    concatenated (a group of one uses its chip's rows as they are) plus
-    the layout every batch of the group shares.  The frequency rows are
-    refreshed by :meth:`refresh` whenever any chip's view generation
-    moves — in a lockstep cluster once per daemon period, however many
-    batches the period takes.
+    Built once per list of placement serials: the chips' placement
+    blocks concatenated (a group of one uses its chip's rows as they
+    are) plus the layout every batch of the group shares.  The frequency
+    rows are refreshed by :meth:`refresh` whenever any chip's P-state
+    view moves — in a lockstep cluster once per daemon period, however
+    many batches the period takes.
     """
 
     def __init__(self, placements: list[_Placement], key: tuple[int, ...]):
@@ -313,10 +354,9 @@ class _Stacked:
         if len(placements) == 1:
             self.rows = placements[0].rows
         else:
-            self.rows = {
-                name: np.concatenate([p.rows[name] for p in placements])
-                for name in placements[0].rows
-            }
+            self.rows = _named(
+                np.concatenate([p.block for p in placements], axis=1)
+            )
         self.total = sum(sizes)
         self.starts = list(itertools.accumulate(sizes, initial=0))[:-1]
         self.chip_of = np.repeat(np.arange(len(placements)), sizes)
@@ -339,24 +379,18 @@ class _Stacked:
         ]
         self.view: tuple[int, ...] | None = None
         self.freq: dict[str, "np.ndarray"] = {}
-        #: the resolved base frequency of every lane (0.0 when parked)
-        self.base = np.zeros(self.total)
         #: each chip's fastest *unparked* base frequency: the threshold
         #: below which its RAPL cap clips
         self.base_max = np.zeros(len(placements))
 
-    def refresh(self, chips: list["Chip"], dt: float) -> None:
-        """Recompute the frequency rows if any chip's view has moved."""
-        view = tuple(chip._view_generation for chip in chips)
+    def refresh(
+        self, view: tuple[int, ...], base: "np.ndarray", dt: float
+    ) -> None:
+        """Recompute the frequency rows from ``base``, the resolved base
+        frequency of every lane (0.0 when parked), if ``view`` — the
+        chips' P-state view generations — has moved."""
         if view == self.view:
             return
-        base = np.fromiter(
-            itertools.chain.from_iterable(
-                chip._base_effective_mhz for chip in chips
-            ),
-            dtype=np.float64,
-            count=self.total,
-        )
         rows = self.rows
         ref = rows["ref_row"]
         # running lanes always have base > 0 (parked lanes are the only
@@ -376,7 +410,6 @@ class _Stacked:
             "fghz_run": base / 1000.0,
             "aperf_run": (base * 1e6) * dt,
         }
-        self.base = base
         self.base_max = np.maximum.reduceat(base, self.starts)
         self.view = view
 
@@ -486,6 +519,25 @@ class Window:
         core count, as ``flush_counters`` converts them."""
         gang = self._where[id(chips[0])][0]
         return gang.counters([self._where[id(chip)][1] for chip in chips])
+
+    def program(
+        self,
+        chips: list["Chip"],
+        cores: "np.ndarray",
+        mhz: "np.ndarray",
+        values: "np.ndarray",
+        address: int,
+    ) -> None:
+        """Request ``mhz`` on ``cores`` (one row per chip) of
+        array-stepped chips of one tick length, as writes of ``values``
+        to register ``address`` would: into the window's request row,
+        which the next batch steps on and the write-back hands to the
+        chips' registers, requests and P-state views."""
+        gang = self._where[id(chips[0])][0]
+        gang.program(
+            [self._where[id(chip)][1] for chip in chips],
+            cores, mhz, values, address,
+        )
 
     def release(self, chip: "Chip") -> None:
         """Write ``chip`` back for a consumer of its objects; it is
@@ -597,6 +649,32 @@ class _Gang:
         self.limiters: list["RaplLimiter"] = [
             chips[i].rapl for i in self.limited
         ]
+        # the resolved P-state view: every lane's base frequency, and the
+        # view generation it reflects per chip (what the chip's own would
+        # be after the refreshes the window owes it)
+        self.base = np.zeros(total)
+        self.view = [-1] * k
+        # the lockstep pass's requests on held chips (see program()):
+        # the request row and the register values carrying it, the lanes
+        # whose write the objects have not seen, and per chip its request
+        # register, its turbo ceiling, whether the row holds its inputs,
+        # and the view refreshes its objects are owed
+        self.request = np.zeros(total)
+        self.register = np.zeros(total, dtype=np.int64)
+        self.owed = np.zeros(total, dtype=bool)
+        self.address = [0] * k
+        self.ceiling = np.zeros(k)
+        self.known = [False] * k
+        self.refreshes = [0] * k
+        #: chips whose request row moved since their view was derived
+        self.reprogrammed: set[int] = set()
+        #: chips whose platform runs fewer simultaneous P-states than it
+        #: has cores: their view refresh checks the requests first
+        self.checked = {
+            i for i, chip in enumerate(chips)
+            if chip.enforce_pstate_limit
+            and chip.platform.simultaneous_pstates < len(chip.cores)
+        }
 
     @staticmethod
     def over(chips: list["Chip"]) -> "_Gang":
@@ -653,27 +731,123 @@ class _Gang:
         """Resolve pending P-state views and bring the stacked rows up
         to date for the next batch; returns the stale chips."""
         stale: list[int] = []
+        loaded: list[int] = []
         for i, chip in enumerate(self.chips):
-            placement = _placement(chip)
-            if placement is not self.placements[i]:
+            held = self.placements[i]
+            if held is None or held.generation != chip._placement_generation:
                 if not self.stale[i]:
                     # written back with the placement it was gathered
                     # under, then gathered under the new one
                     self.unload([i])
-                self.placements[i] = placement
+                self.placements[i] = _placement(chip)
+            elif chip._dirty and not self.stale[i]:
+                # its objects' view is pending while the window holds it
+                # (a request written on them, or a flip not yet resolved
+                # when the pass gathered it): the objects take over
+                self.unload([i])
             if self.stale[i]:
                 stale.append(i)
-            # the same lazy refresh the scalar tick runs (a pending dirty
-            # flag resolves identically, including raising on invalid
-            # simultaneous P-state requests)
-            if chip._dirty:
-                chip._refresh_pstate_view()
+                # the same lazy refresh the scalar tick runs (a pending
+                # dirty flag resolves identically, including raising on
+                # invalid simultaneous P-state requests)
+                if chip._dirty:
+                    chip._refresh_pstate_view()
+                if chip._view_generation != self.view[i]:
+                    loaded.append(i)
+                    self.view[i] = chip._view_generation
         key = tuple(p.serial for p in self.placements)
         stacked = self.stacked
         if stacked is None or stacked.key != key:
             stacked = self.stacked = _Stacked(self.placements, key)
-        stacked.refresh(self.chips, self.dt)
+        if loaded:
+            self.base[self._lanes(loaded)] = list(
+                itertools.chain.from_iterable(
+                    self.chips[i]._base_effective_mhz for i in loaded
+                )
+            )
+        if self.reprogrammed:
+            self._derive()
+        stacked.refresh(tuple(self.view), self.base, self.dt)
         return stale
+
+    def program(
+        self,
+        idx: list[int],
+        cores: "np.ndarray",
+        mhz: "np.ndarray",
+        values: "np.ndarray",
+        address: int,
+    ) -> None:
+        """Write requests into the request row of gathered chips ``idx``
+        (see :meth:`Window.program`); a request that moves marks its
+        chip's view for the next batch, as a moved request marks a chip
+        dirty."""
+        for i in idx:
+            if not self.known[i]:
+                self._load_inputs(i)
+            self.address[i] = address
+        at = np.asarray(idx)
+        lanes = np.asarray(self.starts)[at][:, None] + cores
+        moved = (self.request[lanes] != mhz).any(axis=1)
+        self.request[lanes] = mhz
+        self.register[lanes] = values
+        self.owed[lanes] = True
+        self.reprogrammed.update(at[moved].tolist())
+
+    def _load_inputs(self, i: int) -> None:
+        """Load chip ``i``'s requests into the request row, and its turbo
+        ceiling: only a ``done`` flip or a placement change moves the
+        active-core count, and either unloads the chip."""
+        chip = self.chips[i]
+        start = self.starts[i]
+        self.request[start : start + self.sizes[i]] = [
+            core.requested_mhz for core in chip.cores
+        ]
+        self.ceiling[i] = chip.turbo.ceiling_mhz(chip.active_core_count())
+        self.known[i] = True
+
+    def _derive(self) -> None:
+        """Resolve the P-state view of every reprogrammed chip from its
+        request row, as ``Chip._refresh_pstate_view`` would from its
+        objects: 0 for a parked core, else ``min(request, ceiling)``
+        and then the AVX cap."""
+        changed = sorted(self.reprogrammed)
+        self.reprogrammed.clear()
+        for i in self.checked.intersection(changed):
+            self._check_pstates(i)
+        stacked = self.stacked
+        assert stacked is not None
+        rows = stacked.rows
+        ceiling = self.ceiling[stacked.chip_of]
+        request = self.request
+        eff = np.where(ceiling < request, ceiling, request)
+        avx = rows["avx_row"]
+        eff = np.where(avx < eff, avx, eff)
+        eff = np.where(rows["parked_row"], 0.0, eff)
+        moved = np.zeros(len(self.chips), dtype=bool)
+        moved[changed] = True
+        np.copyto(self.base, eff, where=moved[stacked.chip_of])
+        for i in changed:
+            self.view[i] += 1
+            self.refreshes[i] += 1
+
+    def _check_pstates(self, i: int) -> None:
+        """``Chip._check_simultaneous_pstates`` on chip ``i``'s request
+        row (its active cores do not change while it is held)."""
+        chip = self.chips[i]
+        start = self.starts[i]
+        requests = self.request[start : start + self.sizes[i]].tolist()
+        distinct = {
+            request for request, core in zip(requests, chip.cores)
+            if core.active
+        }
+        limit = chip.platform.simultaneous_pstates
+        if len(distinct) > limit:
+            raise PlatformError(
+                f"{chip.platform.name} supports only {limit} simultaneous "
+                f"P-states; {len(distinct)} distinct frequencies requested "
+                f"({sorted(distinct)})"
+            )
 
     def _clipping(self) -> int | None:
         """The first chip whose RAPL cap is below its fastest unparked
@@ -744,8 +918,38 @@ class _Gang:
         if moved:
             self._scatter(moved)
         for i in idx:
+            if self.known[i]:
+                self._write_inputs(i)
             self.stale[i] = True
             self.moved[i] = False
+
+    def _write_inputs(self, i: int) -> None:
+        """Hand the request row of chip ``i`` to its objects: each
+        register and request the pass's writes would have set, and the
+        P-state view its refreshes would have left — still dirty if a
+        request moved after the last batch."""
+        self.known[i] = False
+        chip = self.chips[i]
+        lanes = slice(self.starts[i], self.starts[i] + self.sizes[i])
+        poke = chip.msr.poke
+        address = self.address[i]
+        for core, owed, mhz, value in zip(
+            chip.cores,
+            self.owed[lanes].tolist(),
+            self.request[lanes].tolist(),
+            self.register[lanes].tolist(),
+        ):
+            if owed:
+                poke(core.core_id, address, value)
+                core.requested_mhz = mhz
+        self.owed[lanes] = False
+        if self.refreshes[i]:
+            chip._base_effective_mhz[:] = self.base[lanes].tolist()
+            chip._view_generation += self.refreshes[i]
+            self.refreshes[i] = 0
+        if i in self.reprogrammed:
+            self.reprogrammed.discard(i)
+            chip._dirty = True
 
     def _scatter(self, idx: list[int]) -> None:
         # tolist() yields plain Python floats, ints and bools —
@@ -1070,7 +1274,7 @@ def _advance_batch(gang: _Gang, n_ticks: int) -> int:
     gang.power_last[:] = power[last, lane_col]
     gang.pkg_last[:] = pkg[last]
     # the view resolved at batch start; nothing refreshes it mid-batch
-    gang.eff_last[:] = group.base
+    gang.eff_last[:] = gang.base
     np.copyto(gang.factor_last, factor, where=running)
     # per-core and package energy increments: the power rows scaled by
     # the tick (the same `power * dt` product)

@@ -21,7 +21,7 @@ Attribution:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ConfigError
 
@@ -138,7 +138,7 @@ class EnergyLedger:
         if not sample.app_parked[label]:
             account.active_s += dt
 
-    def ingest_history(self, history: list["DaemonSample"]) -> None:
+    def ingest_history(self, history: Iterable["DaemonSample"]) -> None:
         for sample in history:
             self.ingest(sample)
 

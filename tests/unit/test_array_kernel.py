@@ -826,6 +826,92 @@ class TestLockstepWindow:
             assert chip_fingerprint(alone) == chip_fingerprint(resident)
 
 
+class TestPassProgramsTheWindow:
+    """Inside a lockstep window the daemon pass steers the chips through
+    the window's request row and keeps its samples as rows: no register
+    write, no P-state view refresh between batches and no
+    :class:`DaemonSample` until something reads the history."""
+
+    PERIOD_TICKS = 200  # one 1 s daemon period at 5 ms ticks
+
+    def _count(self, monkeypatch):
+        from repro.core.daemon import DaemonSample
+        from repro.hw.msr import MSRFile
+
+        counts = {"writes": 0, "refreshes": 0, "samples": 0, "batches": 0}
+        write = MSRFile.write
+        refresh = Chip._refresh_pstate_view
+        init = DaemonSample.__init__
+        advance_batch = soa._advance_batch
+
+        def counting_write(msr, cpu, address, value):
+            counts["writes"] += 1
+            write(msr, cpu, address, value)
+
+        def counting_refresh(chip):
+            # a refresh before the window's first batch resolves the view
+            # the boot left; one after it would be the pass's
+            if counts["batches"]:
+                counts["refreshes"] += 1
+            refresh(chip)
+
+        def counting_init(sample, *args, **kwargs):
+            counts["samples"] += 1
+            init(sample, *args, **kwargs)
+
+        def counting_batch(gang, n_ticks):
+            counts["batches"] += 1
+            return advance_batch(gang, n_ticks)
+
+        monkeypatch.setattr(MSRFile, "write", counting_write)
+        monkeypatch.setattr(Chip, "_refresh_pstate_view", counting_refresh)
+        monkeypatch.setattr(DaemonSample, "__init__", counting_init)
+        monkeypatch.setattr(soa, "_advance_batch", counting_batch)
+        return counts
+
+    def test_window_writes_no_register_and_builds_no_sample(
+        self, monkeypatch
+    ):
+        from repro.core import gang
+
+        lockstep = TestLockstepWindow()._gang()
+        per_node = TestLockstepWindow()._gang()
+        assert len(lockstep) >= gang.DAEMON_GANG_MIN
+        engines = [stack.engine for stack in lockstep]
+        # past the boot: every idle core's first tick flips `done`
+        run_lockstep(engines, self.PERIOD_TICKS)
+        counts = self._count(monkeypatch)
+        run_lockstep(engines, 5 * self.PERIOD_TICKS)
+        assert counts["batches"] >= 5
+        assert counts["writes"] == 0
+        assert counts["refreshes"] == 0
+        assert counts["samples"] == 0
+        assert all(len(stack.daemon.history) == 6 for stack in lockstep)
+        for stack in per_node:
+            stack.engine.run_ticks(6 * self.PERIOD_TICKS)
+        for a, b in zip(lockstep, per_node):
+            assert repr(a.daemon.history) == repr(b.daemon.history)
+            assert a.chip.msr._values == b.chip.msr._values
+            assert [c.requested_mhz for c in a.chip.cores] == [
+                c.requested_mhz for c in b.chip.cores
+            ]
+            assert a.chip._dirty == b.chip._dirty
+            assert a.chip._view_generation == b.chip._view_generation
+            assert a.chip._base_effective_mhz == b.chip._base_effective_mhz
+
+    def test_fleet_epochs_build_no_sample(self, monkeypatch):
+        from repro.cluster import ClusterSim
+        from repro.experiments.fleet_exp import fleet_config
+
+        config = fleet_config(1, 2, 6, seed=5, schedule=None, engine="array")
+        assert len(config.nodes) == 12
+        counts = self._count(monkeypatch)
+        sim = ClusterSim(config)
+        result = sim.run(3 * config.epoch_s)
+        assert counts["samples"] == 0
+        assert result.journal.to_jsonl()
+
+
 class TestEngineSelector:
     def test_engine_modes(self):
         assert SimEngine(batch_chip(), engine="array").engine_mode == "array"

@@ -1,5 +1,7 @@
 """Tests for the platform descriptors (paper Table 1 fidelity)."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigError, PlatformError
@@ -128,8 +130,16 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="unknown platform"):
             get_platform("epyc")
 
-    def test_registry_builds_fresh_objects(self):
-        assert get_platform("skylake") is not get_platform("skylake")
+    def test_registry_shares_one_frozen_spec(self):
+        spec = get_platform("skylake")
+        assert get_platform("SKYLAKE") is spec
+        assert get_platform("skylake-xeon-4114") is spec
+        assert get_platform("ryzen") is not spec
+        # a factory still builds a spec of its own, equal by value
+        assert skylake_xeon_4114() is not spec
+        assert skylake_xeon_4114() == spec
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.n_cores = 4
 
     def test_registry_contents(self):
         assert set(PLATFORM_REGISTRY) >= {"skylake", "ryzen"}
