@@ -7,6 +7,8 @@ The paper's share policies convert power deltas to resource deltas with
 affect steady state behavior".  This ablation proves that claim on the
 reproduction: mis-calibrating MaxPower by -50% / +100% changes settling
 dynamics but not the steady state.
+
+Checks DESIGN §4 row Ablation: alpha model.
 """
 
 import pytest

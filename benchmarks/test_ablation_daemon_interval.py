@@ -13,6 +13,8 @@ This ablation verifies, for 0.5 s / 1 s / 2 s periods:
 * mean power tracks the limit regardless of period,
 * limit excursions are isolated probes (never sustained), and
 * probing gets rarer as the backoff doubles.
+
+Checks DESIGN §4 row Ablation: daemon period.
 """
 
 import pytest

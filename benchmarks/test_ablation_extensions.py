@@ -9,6 +9,8 @@
 * **LP consolidation** (section 4.4): time-slicing starved LP apps on
   the affordable cores trades a little HP boost for non-zero LP
   progress.
+
+Checks DESIGN §4 row Ablation: extensions.
 """
 
 import pytest

@@ -9,6 +9,8 @@ This ablation makes the phases big — an app whose IPC swings ±25% on a
 half-minute period — and measures how much each policy's frequency
 programming churns in steady state.  Frequency shares should hold the
 operating point; performance shares chase the phase.
+
+Checks DESIGN §4 row Ablation: phase stability.
 """
 
 import dataclasses

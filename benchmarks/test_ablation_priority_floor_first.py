@@ -5,6 +5,8 @@ The paper describes both priority flavours — starve LP so HP can boost
 power to all cores to execute" (floor-first).  This ablation runs the
 3H7L @ 40 W scenario under both and quantifies the trade: floor-first
 buys LP liveness with the HP turbo headroom.
+
+Checks DESIGN §4 row Ablation: floor-first priority.
 """
 
 import pytest

@@ -7,6 +7,8 @@ forced to 1, 2, 3, and 8 and measures how much share fidelity the
 restriction costs: with one level shares collapse entirely; three levels
 recover most of the unrestricted fidelity — evidence for the paper's
 claim that the workaround is adequate.
+
+Checks DESIGN §4 row Ablation: P-state levels.
 """
 
 import dataclasses

@@ -5,6 +5,8 @@ The paper drew two random benchmark subsets for generality (section
 Fig 11 methodology, higher shares must never buy *less* frequency — up
 to quantisation ties and the legitimate AVX-saturation exception the
 paper's own set B exhibits.
+
+Checks DESIGN §4 row Ablation: random sweep.
 """
 
 import pytest

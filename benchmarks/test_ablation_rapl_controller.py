@@ -4,6 +4,8 @@ Past work the paper cites (Zhang & Hoffman) reports RAPL settles fast
 and stably.  Our emulated limiter should too, across a range of
 controller gains and averaging windows — and the ablation documents
 where the design space degrades (tiny gain = slow settling).
+
+Checks DESIGN §4 row Ablation: RAPL controller.
 """
 
 import pytest

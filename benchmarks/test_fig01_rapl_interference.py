@@ -4,6 +4,8 @@ Paper shape: gcc (low demand, fast clock) is throttled *first* and
 proportionally harder than cam4 (high demand, AVX-capped); at the lowest
 limits both converge to the same frequency, where gcc's relative
 frequency loss (~48% in the paper) far exceeds cam4's (~25%).
+
+Checks DESIGN §4 row Fig 1.
 """
 
 from repro.experiments.rapl_interference import run_fig1_rapl_interference

@@ -4,6 +4,8 @@ Paper shapes: normalized runtime falls as frequency rises with a wide
 spread across benchmarks; the AVX apps (lbm, imagick, cam4) are power
 outliers whose performance saturates around the AVX cap; package power
 jumps by ~5 W when the sweep enters the TurboBoost bins.
+
+Checks DESIGN §4 row Fig 2.
 """
 
 import pytest

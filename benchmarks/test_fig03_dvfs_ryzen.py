@@ -3,6 +3,8 @@
 Paper shapes: performance rises nearly linearly with frequency (smaller
 anomalies than Skylake), and package power jumps at 3.5 GHz where
 Precision Boost / XFR voltage levels take effect.
+
+Checks DESIGN §4 row Fig 3.
 """
 
 import pytest

@@ -4,6 +4,8 @@ Paper shapes: (a) power saved by software-throttled cores is used by the
 unconstrained cores to run faster; (b) RAPL finds a global maximum
 frequency and only reduces the *unconstrained* cores' frequency — the
 throttled cores keep their set-points.
+
+Checks DESIGN §4 row Fig 4.
 """
 
 import pytest

@@ -4,6 +4,8 @@ Paper shape: the latency-sensitive websearch suffers a dramatic
 90th-percentile latency increase from one co-located power virus under
 low RAPL limits — less than 50% of standalone performance below ~40 W —
 while running alone it degrades only mildly.
+
+Checks DESIGN §4 row Fig 5.
 """
 
 from repro.experiments.latency_exp import run_fig5_unfair_throttling

@@ -4,6 +4,8 @@ Paper shape: with cactusBSSN (HD) and gcc (LD) time sharing one core at
 3.4 GHz, average core power is the residency-weighted sum of the two
 apps' standalone draws — linear in the varied CPU quota, anchored by the
 two 100%-alone measurements.
+
+Checks DESIGN §4 row Fig 6.
 """
 
 import pytest

@@ -8,6 +8,8 @@ Paper shapes, per mix and limit:
   their 85 W performance (opportunistic scaling);
 * under RAPL there is no distinction: HP and LP share the same frequency
   and suffer the same loss.
+
+Checks DESIGN §4 rows Fig 7 and Table 2.
 """
 
 import pytest

@@ -4,6 +4,8 @@ Paper shapes: results mirror Skylake — at 50 W LP jobs run only with
 <= 4 HP jobs, at 40 W only with 2 HP jobs — plus per-class core power
 (Ryzen exposes per-core energy), where the HD high-priority class draws
 several times the parked/minimum LP class.
+
+Checks DESIGN §4 row Fig 8.
 """
 
 import pytest

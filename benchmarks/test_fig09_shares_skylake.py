@@ -4,6 +4,8 @@ Paper shapes: (1) low dynamic range — at 90/10 the low-share app gets
 more than its share of frequency and power, because the 800 MHz floor
 binds; (2) frequency shares and performance shares give very similar
 results, the paper's argument for the simpler policy.
+
+Checks DESIGN §4 row Fig 9.
 """
 
 import pytest

@@ -5,6 +5,8 @@ Paper shapes: the daemon shares resources accurately in the 30/70-70/30
 band but cannot push an app below ~20% of the resource (the 800 MHz
 daemon floor); frequency shares give the most accurate performance
 control; power shares provide the worst performance isolation.
+
+Checks DESIGN §4 row Fig 10.
 """
 
 import pytest

@@ -5,6 +5,8 @@ exchange2 (A3) under-performing and perlbench (A1) over-performing their
 shares under performance shares (frequency sensitivity); for set B the
 AVX apps (B3 cam4, B4 lbm) saturate and cannot reach full frequency even
 at 85 W; at 40 W the shrunken dynamic range compresses proportionality.
+
+Checks DESIGN §4 rows Fig 11 and Table 3.
 """
 
 import pytest

@@ -4,6 +4,8 @@ Paper shape: at 90/10 shares (websearch cores 90, cpuburn 10) the
 proportional policies recover most of the RAPL co-location loss —
 "reaching performance comparable to websearch running alone in some
 cases" — with both frequency and performance shares behaving similarly.
+
+Checks DESIGN §4 row Fig 12.
 """
 
 import pytest

@@ -4,6 +4,8 @@ the proportional frequency policy.
 Paper shape: the websearch cores hold a high frequency while the cpuburn
 core is pinned at the minimum — the low dynamic range of available
 frequencies is what limits the recovery to ~10% at the lowest limits.
+
+Checks DESIGN §4 row Fig 13.
 """
 
 from repro.experiments.latency_exp import run_fig12_policies

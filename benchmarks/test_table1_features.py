@@ -2,6 +2,8 @@
 
 Regenerates the feature table from the live platform descriptors and
 asserts the paper's documented values.
+
+Checks DESIGN §4 row Table 1.
 """
 
 from repro.experiments.tables import table1_features, table2_rows, table3_rows

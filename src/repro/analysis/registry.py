@@ -51,15 +51,6 @@ def walk_scope(scope: ast.AST) -> Iterator[ast.AST]:
         stack[0:0] = list(ast.iter_child_nodes(node))
 
 
-def function_scopes(
-    tree: ast.Module,
-) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Every function/method definition in the file, at any depth."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 class Rule(abc.ABC):
     """One machine-checked contract."""
 

@@ -6,8 +6,9 @@ nodes — each a full :func:`repro.config.build_stack` stack with its own
 hardened :class:`~repro.core.daemon.PowerDaemon` — run under a
 :class:`~repro.cluster.arbiter.ClusterArbiter` that owns a facility
 watt budget and, on a slower epoch loop, re-splits per-node power caps
-from a two-level shares tree driven by each node's demand signals
-(throttle pressure, headroom, parked/quarantined cores).
+from one root pool (or a topology's domain tree) driven by each
+node's demand signals (throttle pressure, headroom, parked/quarantined
+cores).
 
 * :mod:`repro.cluster.config`    — declarative fleet description,
 * :mod:`repro.cluster.node`      — one node stepped in epochs,
@@ -27,7 +28,6 @@ from a two-level shares tree driven by each node's demand signals
 from repro.cluster.arbiter import Arbitration, ClusterArbiter, DEMAND_SLACK
 from repro.cluster.config import (
     ClusterConfig,
-    GroupSpec,
     NodeSpec,
     cluster_config_from_jsonable,
     cluster_config_to_jsonable,
@@ -63,7 +63,6 @@ __all__ = [
     "ClusterTrace",
     "DEMAND_SLACK",
     "Envelope",
-    "GroupSpec",
     "Journal",
     "JournalEntry",
     "LEASE_CODES",

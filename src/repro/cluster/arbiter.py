@@ -2,11 +2,10 @@
 
 The paper's daemon spreads one socket's watts across applications with
 min-funding revocation; :class:`ClusterArbiter` applies the same
-primitive one level up, spreading a facility budget across node caps
-through a two-level shares tree (groups, then nodes — see
-:mod:`repro.cluster.config`).  Each node's ``PowerDaemon`` is a leaf:
-the cap the arbiter grants becomes the ``limit_w`` that daemon enforces
-locally, so the hierarchy composes without any node-level changes.
+primitive one level up, spreading a facility budget across node caps.
+Each node's ``PowerDaemon`` is a leaf: the cap the arbiter grants
+becomes the ``limit_w`` that daemon enforces locally, so the hierarchy
+composes without any node-level changes.
 
 Per epoch the arbiter turns each node's :class:`~repro.cluster.node.
 NodeEpochReport` into a :class:`~repro.core.minfund.Claim`:
@@ -20,16 +19,22 @@ NodeEpochReport` into a :class:`~repro.core.minfund.Claim`:
   with slack so a node capped low can still climb;
 * ``shares`` come from the config.
 
+:meth:`ClusterArbiter._claim` computes these bounds for both arbiters:
+the fleet arbiter (:mod:`repro.fleet.arbiter`) calls it too and only
+snaps the ceiling to its demand quantum.
+
 Every fresh report passes the telemetry validator
 (:mod:`repro.cluster.trust`) before it becomes demand: one screen per
 epoch proves the clean majority clean, ``validate`` judges and clamps
 the rest, and only the clamped report is kept as demand history.
 
-:func:`~repro.core.minfund.refill_pool` then water-fills the budget:
-group shares split the facility budget into group pools, node shares
-split each pool into caps.  Saturated nodes (at ``hi``) release budget
-to the others and the fill re-runs — exactly the revocation cascade the
-paper runs over apps.
+:func:`~repro.core.minfund.refill_pool` then water-fills the budget.
+A flat cluster is one root pool: the bidding budget is split once over
+the root's aggregate claim, and node shares split that pool into caps.
+A hierarchy is a :class:`~repro.fleet.topology.DomainSpec` topology,
+arbitrated by the fleet arbiter.  Saturated nodes (at ``hi``) release
+budget to the others and the fill re-runs — exactly the revocation
+cascade the paper runs over apps.
 
 **Invariant** (checked, and exactly enforced by a deterministic trim of
 the bisection residue): the caps granted to live nodes always sum to at
@@ -62,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster.config import ClusterConfig, NodeSpec
+from repro.cluster.config import ClusterConfig
 from repro.cluster.node import NodeEpochReport
 from repro.cluster.trust import (
     BrownoutController,
@@ -77,6 +82,10 @@ from repro.errors import ConfigError
 #: node's claim grow past what it measured, so caps can climb back after
 #: a quiet spell instead of ratcheting down.
 DEMAND_SLACK = 1.25
+
+#: label of the flat arbiter's one root pool (the journal's ``pools``
+#: key on the flat path).
+ROOT_POOL = ""
 
 #: numeric tolerance on the cap-sum invariant before trimming.
 _SUM_TOLERANCE = 1e-9
@@ -93,7 +102,9 @@ class Arbitration:
 
     epoch: int
     caps_w: dict[str, float]
-    group_pools_w: dict[str, float]
+    #: the pool each split assigned: the root pool on the flat path,
+    #: every domain's pool on the fleet path.
+    pools_w: dict[str, float]
     #: members granted without any usable demand this round: silent
     #: (leased, budget reserved) or reporting with no fresh samples and
     #: no demand history.  Surfaced so health roll-ups see every
@@ -157,14 +168,18 @@ class ClusterArbiter:
         self.trust = TrustBook()
         #: facility brownout ladder for sustained infeasibility.
         self.brownout = BrownoutController()
-        #: static per-node platform envelopes, resolved once (the
-        #: validator consults them on every fresh report).
-        self._node_floor: dict[str, float] = {
-            spec.name: spec.min_cap_w for spec in config.nodes
-        }
-        self._node_max: dict[str, float] = {
-            spec.name: spec.resolved_max_cap_w() for spec in config.nodes
-        }
+        #: static per-node constants, resolved once: the validator
+        #: reads the platform envelope on every fresh report, ``_claim``
+        #: all four on every claim.
+        self._node_floor: dict[str, float] = {}
+        self._node_max: dict[str, float] = {}
+        self._node_shares: dict[str, float] = {}
+        self._node_apps: dict[str, int] = {}
+        for spec in config.nodes:
+            self._node_floor[spec.name] = spec.min_cap_w
+            self._node_max[spec.name] = spec.resolved_max_cap_w()
+            self._node_shares[spec.name] = spec.shares
+            self._node_apps[spec.name] = len(spec.apps)
 
     # -- membership --------------------------------------------------------------
 
@@ -342,7 +357,7 @@ class ClusterArbiter:
         # grant stays a pure function of the snapshot
         level = self.brownout.level
         caps = dict(reserved)
-        group_pools, shed, stats, live_sum = self._arbitrate(
+        pools, shed, stats, live_sum = self._arbitrate(
             epoch, live, budget, caps, degraded
         )
         total = self._trim(caps, reserved_sum + live_sum)
@@ -355,7 +370,7 @@ class ClusterArbiter:
         return Arbitration(
             epoch,
             dict(caps),
-            group_pools,
+            pools,
             degraded=tuple(sorted(degraded)),
             reserved_w=dict(reserved),
             shed=shed,
@@ -377,41 +392,42 @@ class ClusterArbiter:
 
         Fills ``caps`` in place (on top of the reservations already
         there), appends demand-blind members to ``degraded``, and
-        returns ``(pools, shed, stats, live_sum)`` — the per-group (or
-        per-domain) pools, the members shed to their floors under
+        returns ``(pools, shed, stats, live_sum)`` — the pool each
+        split assigned, the members shed to their floors under
         contention, arbitration counters, and the float sum of the
         caps placed (so the caller can maintain the cap-sum
-        incrementally).  This flat two-level implementation is the
-        PR-3 arbiter; :class:`repro.fleet.arbiter.FleetArbiter`
-        overrides it with the hierarchical dirty-subtree scheme.
+        incrementally).  The flat cluster is one root pool;
+        :class:`repro.fleet.arbiter.FleetArbiter` overrides this with
+        the domain tree.
         """
-        claims_by_group: dict[str, list[Claim]] = {}
-        top_shares = max(
-            (self.config.node(n).shares for n in live), default=0.0
-        )
+        top_shares = max((self._node_shares[n] for n in live), default=0.0)
+        claims: list[Claim] = []
         for name in live:
-            spec = self.config.node(name)
             report = self._last_report.get(name)
-            claim = self._claim(
-                spec, report, self._age(name, epoch), top_shares
-            )
             if report is None and self._admitted_at[name] != epoch:
                 # demand-blind grant for an established member: a tick
-                # storm ate its first samples (satellite: no silent
-                # floor/blind caps — health roll-ups must see these)
+                # storm ate its first samples (health roll-ups must see
+                # these)
                 degraded.append(name)
-            group = self.config.group_of(spec)
-            claims_by_group.setdefault(group, []).append(claim)
-
-        group_pools: dict[str, float] = {}
-        live_sum = 0.0
-        if claims_by_group:
-            group_pools = self._split_groups(claims_by_group, budget)
-            for group, claims in claims_by_group.items():
-                fill = refill_pool(group_pools[group], claims)
-                caps.update(fill)
-                live_sum += sum(fill[c.label] for c in claims)
-        return group_pools, (), {}, live_sum
+            lo, hi = self._claim(
+                name, report, self._age(name, epoch), top_shares
+            )
+            claims.append(Claim(name, self._node_shares[name], 0.0, lo, hi))
+        if not claims:
+            return {}, (), {}, 0.0
+        # the root split: the bidding budget (net of silent members'
+        # reservations) against the members' aggregate claim
+        root = Claim(
+            ROOT_POOL,
+            1.0,
+            0.0,
+            sum(c.lo for c in claims),
+            sum(c.hi for c in claims),
+        )
+        pools = refill_pool(budget, [root])
+        fill = refill_pool(pools[ROOT_POOL], claims)
+        caps.update(fill)
+        return pools, (), {}, sum(fill[c.label] for c in claims)
 
     def _classify(
         self, epoch: int
@@ -431,7 +447,7 @@ class ClusterArbiter:
         reserved: dict[str, float] = {}
         degraded: list[str] = []
         for name in sorted(self._members):
-            floor = self.config.node(name).min_cap_w
+            floor = self._node_floor[name]
             seen = self._last_seen.get(name)
             if seen is None:
                 # nothing heard since admission: grace of one TTL for
@@ -453,14 +469,14 @@ class ClusterArbiter:
                     # lease expired: the node has stepped itself down
                     reserved[name] = floor
                 degraded.append(name)
-        live_floors = sum(self.config.node(n).min_cap_w for n in live)
+        live_floors = sum(self._node_floor[n] for n in live)
         pressure = sum(reserved[n] for n in sorted(reserved)) + live_floors
         excess = pressure - self.budget_w
         if excess > 0:
             for name in sorted(
                 reserved, key=lambda n: (-reserved[n], n)
             ):
-                floor = self.config.node(name).min_cap_w
+                floor = self._node_floor[name]
                 give = min(excess, reserved[name] - floor)
                 if give > 0:
                     reserved[name] -= give
@@ -478,15 +494,16 @@ class ClusterArbiter:
 
     def _claim(
         self,
-        spec: NodeSpec,
+        name: str,
         report: NodeEpochReport | None,
         age: int,
         top_shares: float,
-    ) -> Claim:
-        """One live member's claim: trust-discounted demand ceiling,
-        bounds shed per the brownout level in effect."""
-        lo = spec.min_cap_w
-        hi_cap = spec.resolved_max_cap_w()
+    ) -> tuple[float, float]:
+        """One live member's claim bounds ``(lo, hi)``: the
+        trust-discounted demand ceiling, bounds shed per the brownout
+        level in effect.  Both arbiters build their claims here."""
+        lo = self._node_floor[name]
+        hi_cap = self._node_max[name]
         if report is None:
             # no demand history: an unconstrained bid, bounded only by
             # the node's configured cap range
@@ -495,7 +512,7 @@ class ClusterArbiter:
             wants = report.mean_power_w + report.throttle_pressure * max(
                 hi_cap - report.mean_power_w, 0.0
             )
-            n_apps = len(spec.apps)
+            n_apps = self._node_apps[name]
             healthy = max(n_apps - report.quarantined_cores, 0) / n_apps
             hi = min(wants * DEMAND_SLACK * healthy, hi_cap)
             if age > 1:
@@ -505,47 +522,14 @@ class ClusterArbiter:
                 # cannot pin budget forever
                 fade = max(0.0, 1.0 - (age - 1) / self.lease_ttl)
                 hi = lo + (hi - lo) * fade
-        hi = self.trust.discount_hi(spec.name, lo, hi)
-        lo, hi = brownout_claim_bounds(
+        hi = self.trust.discount_hi(name, lo, hi)
+        return brownout_claim_bounds(
             self.brownout.level,
             floor_w=lo,
             raw_hi_w=hi,
-            shares=spec.shares,
+            shares=self._node_shares[name],
             top_shares=top_shares,
         )
-        current = self._caps.get(spec.name, lo)
-        return Claim(
-            label=spec.name,
-            shares=spec.shares,
-            current=min(max(current, lo), hi),
-            lo=lo,
-            hi=hi,
-        )
-
-    def _split_groups(
-        self, claims_by_group: dict[str, list[Claim]], budget_w: float
-    ) -> dict[str, float]:
-        """Split the bidding budget across groups by group shares.
-
-        ``budget_w`` is the facility budget net of silent members'
-        reservations — reserved watts come off the top globally, not
-        out of the silent node's own group.  A group's claim aggregates
-        its members: floor = sum of member floors, ceiling = sum of
-        member demand ceilings.  With one group the split is the whole
-        bidding budget and the tree is flat.
-        """
-        shares = self.config.group_shares()
-        group_claims = [
-            Claim(
-                label=group,
-                shares=shares[group],
-                current=sum(c.current for c in claims),
-                lo=sum(c.lo for c in claims),
-                hi=sum(c.hi for c in claims),
-            )
-            for group, claims in sorted(claims_by_group.items())
-        ]
-        return refill_pool(budget_w, group_claims)
 
     def _trim(self, caps: dict[str, float], total: float) -> float:
         """Shave the water-filling bisection residue so the cap sum is
@@ -556,7 +540,7 @@ class ClusterArbiter:
             return total
         shaved = 0.0
         for name in sorted(caps, key=lambda n: (-caps[n], n)):
-            floor = self.config.node(name).min_cap_w
+            floor = self._node_floor[name]
             give = min(excess, caps[name] - floor)
             if give > 0:
                 caps[name] -= give

@@ -6,11 +6,12 @@ exactly as :func:`repro.config.build_stack` builds it — plus the global
 facility budget the :class:`~repro.cluster.arbiter.ClusterArbiter`
 spreads across them.
 
-The shares tree is two-level: the budget splits across *groups* by group
-shares, then within each group across *nodes* by node shares, both with
-the same min-funding primitive the paper uses inside one socket.  When
-no groups are declared every node lives in one implicit root group and
-the tree degenerates to the flat case.
+A flat cluster is one root pool: the budget splits across *nodes* by
+node shares, with the same min-funding primitive the paper uses inside
+one socket.  A hierarchy is a ``topology``: a
+:class:`~repro.fleet.topology.DomainSpec` tree whose domains split the
+budget by domain shares before their nodes split it by node shares (two
+levels, or as many as the tree has).
 
 Node lifecycle is part of the config so runs replay deterministically:
 ``joins_at_s`` admits a node mid-run, ``leaves_at_s`` is an announced
@@ -47,28 +48,11 @@ from repro.fleet.topology import (
 )
 from repro.hw.platform import get_platform
 
-#: root group used when the config declares no explicit groups.
-ROOT_GROUP = ""
-
 #: default lowest cap the arbiter may squeeze a node down to, watts.
 #: Roughly uncore draw plus a floored core or two: a live node can never
 #: usefully run below it, and the paper's no-starvation rule holds one
 #: level up — member nodes are floored, not revoked to zero.
 DEFAULT_MIN_CAP_W = 15.0
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """One interior vertex of the shares tree."""
-
-    name: str
-    shares: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("group needs a non-empty name")
-        if self.shares <= 0:
-            raise ConfigError(f"group {self.name}: shares must be positive")
 
 
 @dataclass(frozen=True)
@@ -80,7 +64,6 @@ class NodeSpec:
     platform: str = "skylake"
     policy: str = "frequency-shares"
     shares: float = 1.0
-    group: str = ROOT_GROUP
     #: cap bounds the arbiter honours for this node; ``max_cap_w=None``
     #: defaults to the platform TDP.
     min_cap_w: float = DEFAULT_MIN_CAP_W
@@ -141,11 +124,11 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """The whole fleet: budget, shares tree, epoch cadence, seed."""
+    """The whole fleet: budget, nodes, optional topology, epoch cadence,
+    seed."""
 
     budget_w: float
     nodes: tuple[NodeSpec, ...]
-    groups: tuple[GroupSpec, ...] = ()
     #: arbiter epoch length in *daemon iterations* (the slower loop the
     #: issue calls for: default 10 daemon ticks per arbitration round).
     epoch_ticks: int = 10
@@ -173,8 +156,7 @@ class ClusterConfig:
     #: bit-identical by contract, so the result cache ignores it.
     engine: str = field(default_factory=default_engine)
     #: hierarchical budget-domain tree (facility → row → rack → node);
-    #: ``None`` keeps the flat two-level groups arbitration.  Mutually
-    #: exclusive with ``groups``.
+    #: ``None`` keeps the flat one-root-pool arbitration.
     topology: DomainSpec | None = None
     #: diurnal traffic curve driving per-epoch node activation; needs a
     #: topology (rows phase the curve).  ``None`` keeps every node busy.
@@ -220,21 +202,6 @@ class ClusterConfig:
         names = [node.name for node in self.nodes]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate node names")
-        group_names = [group.name for group in self.groups]
-        if len(set(group_names)) != len(group_names):
-            raise ConfigError("duplicate group names")
-        if self.groups:
-            known = set(group_names)
-            for node in self.nodes:
-                if node.group not in known:
-                    raise ConfigError(
-                        f"node {node.name}: unknown group "
-                        f"{node.group!r}; known: {sorted(known)}"
-                    )
-        elif any(node.group != ROOT_GROUP for node in self.nodes):
-            raise ConfigError(
-                "nodes reference groups but the config declares none"
-            )
         # The hierarchy invariant (sum of node caps <= budget at all
         # times) needs the all-nodes floor sum to fit: min-funding
         # floors members rather than starving them, so an over-committed
@@ -246,11 +213,6 @@ class ClusterConfig:
                 f"cluster budget ({self.budget_w:.1f} W)"
             )
         if self.topology is not None:
-            if self.groups:
-                raise ConfigError(
-                    "topology and groups are mutually exclusive shares "
-                    "trees; declare one or the other"
-                )
             validate_topology(
                 self.topology,
                 tuple(node.name for node in self.nodes),
@@ -312,14 +274,6 @@ class ClusterConfig:
             return get_telemetry_scenario(self.telemetry)
         return self.telemetry
 
-    def group_of(self, node: NodeSpec) -> str:
-        return node.group if self.groups else ROOT_GROUP
-
-    def group_shares(self) -> dict[str, float]:
-        if self.groups:
-            return {group.name: group.shares for group in self.groups}
-        return {ROOT_GROUP: 1.0}
-
 
 # -- cache serialization ---------------------------------------------------------
 #
@@ -365,7 +319,6 @@ def cluster_config_from_jsonable(data: dict) -> ClusterConfig:
             for a in node["apps"]
         )
         nodes.append(NodeSpec(**{**node, "apps": apps}))
-    groups = tuple(GroupSpec(**group) for group in data.get("groups", ()))
     extra: dict = {}
     transport = data.get("transport")
     if isinstance(transport, dict):
@@ -394,5 +347,5 @@ def cluster_config_from_jsonable(data: dict) -> ClusterConfig:
             }
         )
     return ClusterConfig(
-        **{**data, "nodes": tuple(nodes), "groups": groups, **extra}
+        **{**data, "nodes": tuple(nodes), **extra}
     )

@@ -295,7 +295,7 @@ class ClusterSim:
         return Arbitration(
             epoch=epoch,
             caps_w=dict(entry.data["caps"]),
-            group_pools_w=dict(entry.data["pools"]),
+            pools_w=dict(entry.data["pools"]),
             degraded=tuple(entry.data["degraded"]),
             reserved_w=dict(entry.data["reserved"]),
             shed=tuple(entry.data.get("shed", ())),
@@ -476,7 +476,7 @@ class ClusterSim:
                     epoch,
                     {
                         "caps": dict(grant.caps_w),
-                        "pools": dict(grant.group_pools_w),
+                        "pools": dict(grant.pools_w),
                         "degraded": list(grant.degraded),
                         "reserved": dict(grant.reserved_w),
                         "shed": list(grant.shed),

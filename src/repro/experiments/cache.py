@@ -67,7 +67,13 @@ if TYPE_CHECKING:
 #: brownout result counters, validator clamping in the grant path) —
 #: v4 cluster entries predate validation and must not satisfy v5
 #: lookups.
-CACHE_VERSION = 5
+#:
+#: v6: both arbiters build node claims in one method (a fleet node
+#: demanding below its floor now collapses it under brownout, as a flat
+#: node always did) and no flat ``groups`` (cluster config keys lose the
+#: ``groups`` and per-node ``group`` fields) — v5 fleet entries under
+#: brownout hold other grants.
+CACHE_VERSION = 6
 
 #: default cache root (overridden by ``REPRO_CACHE_DIR``).
 DEFAULT_CACHE_DIR = "~/.cache/repro-power"

@@ -12,10 +12,10 @@ actually sees on real machines:
 * energy-counter wrap storms (reads thrown near the 32-bit wrap point,
   so consecutive deltas wrap over and over).
 
-The simulator-side accessors (``poke``/``advance_counter``) pass through
-untouched — the fault model corrupts the software's *view*, never the
-hardware's ground truth.  All injection decisions come from one seeded
-RNG, so a scenario replays identically for a fixed seed.
+The simulator-side accessor (``poke``) passes through untouched — the
+fault model corrupts the software's *view*, never the hardware's
+ground truth.  All injection decisions come from one seeded RNG, so a
+scenario replays identically for a fixed seed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Optional
 from repro.errors import MSRIOError
 from repro.faults.scenario import FaultScenario
 from repro.hw import msr as msrdef
-from repro.hw.msr import ENERGY_COUNTER_MASK, MSRDef, MSRFile, U64_MASK
+from repro.hw.msr import ENERGY_COUNTER_MASK, MSRDef, MSRFile
 
 #: Counters eligible for stuck/garbage injection: the free-running
 #: telemetry counters software diffs every interval.
@@ -147,11 +147,6 @@ class FaultyMSRFile:
 
     def poke(self, cpu: int, address: int, value: int) -> None:
         self._inner.poke(cpu, address, value)
-
-    def advance_counter(
-        self, cpu: int, address: int, delta: int, *, wrap_mask: int = U64_MASK
-    ) -> None:
-        self._inner.advance_counter(cpu, address, delta, wrap_mask=wrap_mask)
 
     # -- faulted software surface ---------------------------------------------
 

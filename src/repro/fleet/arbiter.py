@@ -8,7 +8,10 @@ interior domain's pool across its children by shares, and the exact
 FastCap sweep (:func:`~repro.fleet.waterfill.waterfill`) splits each
 rack's pool across its member nodes.  Membership, leases,
 reservations, demand aging, and the cap-sum invariant are all
-inherited unchanged — only the ``_arbitrate`` step is replaced.
+inherited unchanged — only the ``_arbitrate`` step is replaced.  Each
+node's claim comes from the flat arbiter's
+:meth:`~repro.cluster.arbiter.ClusterArbiter._claim`; the fleet only
+snaps its ceiling to :data:`DEMAND_QUANTUM_W`.
 
 **Why incremental.**  At 1,000+ nodes the naive path — build a claim
 per node, bisect every rack, every epoch — dominates the control
@@ -46,15 +49,8 @@ grant — the graceful losing branch of the bet, never a violation.
 
 from __future__ import annotations
 
-from repro.cluster.arbiter import (
-    Arbitration,
-    ClusterArbiter,
-    DEMAND_SLACK,
-    _SUM_TOLERANCE,
-)
+from repro.cluster.arbiter import Arbitration, ClusterArbiter, _SUM_TOLERANCE
 from repro.cluster.config import ClusterConfig
-from repro.cluster.node import NodeEpochReport
-from repro.cluster.trust import brownout_claim_bounds
 from repro.core.minfund import Claim, refill_pool
 from repro.errors import ConfigError
 from repro.fleet.topology import iter_domains, leaf_racks
@@ -95,16 +91,6 @@ class FleetArbiter(ClusterArbiter):
         self._interior = tuple(d for d in self._domains if not d.is_leaf)
         self._racks = leaf_racks(self.topology)
         self._rack_names = tuple(r.name for r in self._racks)
-        # -- static per-node constants (one platform resolve, at init) ---
-        self._node_shares: dict[str, float] = {}
-        self._node_lo: dict[str, float] = {}
-        self._node_hi_cap: dict[str, float] = {}
-        self._node_apps: dict[str, int] = {}
-        for spec in config.nodes:
-            self._node_shares[spec.name] = spec.shares
-            self._node_lo[spec.name] = spec.min_cap_w
-            self._node_hi_cap[spec.name] = spec.resolved_max_cap_w()
-            self._node_apps[spec.name] = len(spec.apps)
         # -- incremental caches ------------------------------------------
         #: per node: (last_fresh, age_bucket, trust score, brownout
         #: level, top shares) the cached claim was computed under; a
@@ -212,11 +198,7 @@ class FleetArbiter(ClusterArbiter):
         top_shares = max(
             (self._node_shares[n] for n in live), default=0.0
         )
-        # hoisted per epoch: when no node holds a degraded score the
-        # per-node trust probes below collapse to one dict lookup and
-        # the claim path skips the discount call entirely
         trust_scores = self.trust.scores
-        all_trusted = not trust_scores
         # 1. refresh claims + find dirty racks (cheap O(n) scan; the
         # per-node work is two dict lookups unless demand moved)
         for rack in self._racks:
@@ -239,10 +221,17 @@ class FleetArbiter(ClusterArbiter):
                 )
                 if sig != self._node_sigs.get(name):
                     self._node_sigs[name] = sig
-                    claim = self._fleet_claim(
-                        name, report, age, level, top_shares,
-                        all_trusted,
-                    )
+                    lo, hi = self._claim(name, report, age, top_shares)
+                    if report is not None and hi > lo:
+                        # snap the ceiling to the demand quantum so
+                        # watt-level jitter cannot dirty a rack
+                        hi = min(
+                            lo
+                            + round((hi - lo) / DEMAND_QUANTUM_W)
+                            * DEMAND_QUANTUM_W,
+                            self._node_max[name],
+                        )
+                    claim = (self._node_shares[name], lo, hi)
                     if claim != self._node_claims.get(name):
                         self._node_claims[name] = claim
                         dirty.add(rack.name)
@@ -346,8 +335,8 @@ class FleetArbiter(ClusterArbiter):
                 n
                 for n in members
                 if self._node_claims[n][2]
-                > self._node_lo[n] + DEMAND_QUANTUM_W / 2
-                and fill[n] <= self._node_lo[n] + _SHED_TOLERANCE_W
+                > self._node_floor[n] + DEMAND_QUANTUM_W / 2
+                and fill[n] <= self._node_floor[n] + _SHED_TOLERANCE_W
             )
             caps.update(fill)
             shed.extend(rack_shed)
@@ -358,59 +347,10 @@ class FleetArbiter(ClusterArbiter):
             self._rack_shed[rack.name] = rack_shed
         return pools, tuple(shed), stats, live_sum
 
-    def _fleet_claim(
-        self,
-        name: str,
-        report: NodeEpochReport | None,
-        age: int,
-        level: int,
-        top_shares: float,
-        all_trusted: bool,
-    ) -> tuple[float, float, float]:
-        """The flat arbiter's claim, quantized and ``current``-free.
-
-        Mirrors :meth:`ClusterArbiter._claim` (demand slack, quarantine
-        scaling, stale-demand fade, trust discount, brownout shedding)
-        but snaps the ceiling to the demand quantum so watt-level
-        jitter cannot dirty a rack, and drops the ``current`` field the
-        water-fill never reads.
-        """
-        lo = self._node_lo[name]
-        hi_cap = self._node_hi_cap[name]
-        if report is None:
-            raw = hi_cap
-        else:
-            wants = report.mean_power_w + report.throttle_pressure * max(
-                hi_cap - report.mean_power_w, 0.0
-            )
-            n_apps = self._node_apps[name]
-            healthy = max(n_apps - report.quarantined_cores, 0) / n_apps
-            raw = min(wants * DEMAND_SLACK * healthy, hi_cap)
-            if age > 1:
-                fade = max(0.0, 1.0 - (age - 1) / self.lease_ttl)
-                raw = lo + (max(raw, lo) - lo) * fade
-            raw = max(raw, lo)
-        if not all_trusted:
-            raw = self.trust.discount_hi(name, lo, raw)
-        lo_eff, hi = brownout_claim_bounds(
-            level,
-            floor_w=lo,
-            raw_hi_w=raw,
-            shares=self._node_shares[name],
-            top_shares=top_shares,
-        )
-        if report is not None and hi > lo_eff:
-            hi = min(
-                lo_eff
-                + round((hi - lo_eff) / DEMAND_QUANTUM_W) * DEMAND_QUANTUM_W,
-                hi_cap,
-            )
-        return (self._node_shares[name], lo_eff, max(hi, lo_eff))
-
 
 def make_arbiter(config: ClusterConfig) -> ClusterArbiter:
-    """The arbiter matching the config: hierarchical when a topology
-    is declared, the flat two-level one otherwise."""
+    """The arbiter matching the config: the domain tree when a
+    topology is declared, the flat one-root-pool arbiter otherwise."""
     if config.topology is not None:
         return FleetArbiter(config)
     return ClusterArbiter(config)

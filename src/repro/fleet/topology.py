@@ -1,11 +1,12 @@
 """Fleet topology: an arbitrary-depth tree of budget domains.
 
-The PR-3 arbiter splits the facility budget over a flat two-level
-groups→nodes tree; at fleet scale the budget flows through the physical
-power-delivery hierarchy instead — facility → row → rack → node — and
-every level is a *budget domain* with its own shares, an implicit floor
-(the sum of its members' cap floors), and an optional watt ceiling (a
-breaker/PDU limit the domain can never exceed regardless of demand).
+A flat cluster splits the facility budget from one root pool; a
+topology is the one way to declare a hierarchy.  At fleet scale the
+budget flows through the physical power-delivery hierarchy — facility
+→ row → rack → node — and every level is a *budget domain* with its
+own shares, an implicit floor (the sum of its members' cap floors),
+and an optional watt ceiling (a breaker/PDU limit the domain can never
+exceed regardless of demand).
 
 :class:`DomainSpec` is one vertex: an **interior** domain lists child
 domains, a **leaf** domain (a rack) lists the node names it powers.

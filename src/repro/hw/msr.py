@@ -112,14 +112,6 @@ class MSRFile:
         """``rdmsr``: read a 64-bit register on a CPU."""
         return self._values[self._slot(cpu, address)]
 
-    def read_all(self, address: int) -> list[int]:
-        """``rdmsr`` of one register on every CPU, in CPU order."""
-        cpus = range(self._n_cpus)
-        if self.definition(address).package_scope:
-            return [self._values[(0, address)] for _ in cpus]
-        values = self._values
-        return [values[(cpu, address)] for cpu in cpus]
-
     def write(self, cpu: int, address: int, value: int) -> None:
         """``wrmsr``: write a register, enforcing the access policy."""
         msr_def = self.definition(address)
@@ -144,15 +136,6 @@ class MSRFile:
         APERF/MPERF, instructions retired) that are read-only to software.
         """
         self._values[self._slot(cpu, address)] = value & U64_MASK
-
-    def advance_counter(
-        self, cpu: int, address: int, delta: int, *, wrap_mask: int = U64_MASK
-    ) -> None:
-        """Increment a counter with hardware-accurate wraparound."""
-        if delta < 0:
-            raise MSRPermissionError("counters only move forward")
-        slot = self._slot(cpu, address)
-        self._values[slot] = (self._values[slot] + delta) & wrap_mask
 
 
 def read_counter_delta(

@@ -13,24 +13,17 @@ import random
 
 import pytest
 
-from repro.cluster import ClusterArbiter, ClusterConfig, GroupSpec, NodeSpec
+from repro.cluster import ClusterArbiter, ClusterConfig, NodeSpec
 from repro.cluster.node import NodeEpochReport
 from repro.config import AppSpec
+from repro.fleet import DomainSpec
+from repro.fleet.arbiter import make_arbiter
 
 APPS = tuple(AppSpec("cactusBSSN", shares=50.0) for _ in range(6))
 
 
 def random_config(rng: random.Random) -> ClusterConfig:
     n_nodes = rng.randint(1, 8)
-    use_groups = rng.random() < 0.5 and n_nodes >= 2
-    groups = ()
-    group_names = [""]
-    if use_groups:
-        groups = tuple(
-            GroupSpec(f"g{i}", shares=rng.uniform(0.5, 4.0))
-            for i in range(rng.randint(1, 3))
-        )
-        group_names = [g.name for g in groups]
     nodes = []
     for i in range(n_nodes):
         lo = rng.uniform(5.0, 15.0)
@@ -38,14 +31,31 @@ def random_config(rng: random.Random) -> ClusterConfig:
             name=f"n{i}",
             apps=APPS,
             shares=rng.uniform(0.5, 4.0),
-            group=rng.choice(group_names),
             min_cap_w=lo,
             max_cap_w=lo + rng.uniform(10.0, 50.0),
         ))
     floor_sum = sum(n.min_cap_w for n in nodes)
     budget = floor_sum + rng.uniform(0.0, 120.0)
+    topology = None
+    if rng.random() < 0.5 and n_nodes >= 2:
+        # a two-level hierarchy: the nodes dealt round-robin into one
+        # to three domains with random shares
+        n_domains = rng.randint(1, min(3, n_nodes))
+        topology = DomainSpec(
+            "root",
+            children=tuple(
+                DomainSpec(
+                    f"d{d}",
+                    shares=rng.uniform(0.5, 4.0),
+                    nodes=tuple(
+                        spec.name for spec in nodes[d::n_domains]
+                    ),
+                )
+                for d in range(n_domains)
+            ),
+        )
     return ClusterConfig(budget_w=budget, nodes=tuple(nodes),
-                         groups=groups)
+                         topology=topology)
 
 
 def random_report(rng, spec, epoch, cap):
@@ -68,7 +78,7 @@ def random_report(rng, spec, epoch, cap):
 def test_invariants_hold_under_random_demand(seed):
     rng = random.Random(seed)
     config = random_config(rng)
-    arbiter = ClusterArbiter(config)
+    arbiter = make_arbiter(config)
     arbiter.admit([spec.name for spec in config.nodes])
     grant = arbiter.rebalance(0, {})
     for epoch in range(1, 12):

@@ -217,7 +217,7 @@ def test_hierarchy_invariant_at_every_depth(
                 )
                 # every deeper domain: the live grants under it fit
                 # the pool the refill assigned it
-                pool = grant.group_pools_w.get(domain.name)
+                pool = grant.pools_w.get(domain.name)
                 if pool is not None:
                     assert granted <= pool + TOL
                 if domain.ceiling_w is not None:

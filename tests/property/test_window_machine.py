@@ -19,14 +19,18 @@ frequency-shares daemon:
 * the **scalar** side steps each chip alone through ``Chip.tick`` and
   runs every deadline with :meth:`PowerDaemon.iteration`.
 
-Members repeat two Skylake templates of one daemon shape, enough of
+Members repeat three Skylake templates of one daemon shape, enough of
 them (:data:`repro.core.gang.DAEMON_GANG_MIN`) for a deadline to run
 the pass, and a Ryzen template that stays per node, so gangs are wide,
-mix platforms and carry duplicate lanes.  The rules advance k ticks,
-fire a deadline, assign, replace or unload an app, park or unpark a
-core, program a RAPL limit (one low enough to clip), start a budgeted
-app that finishes within a batch, release a chip to a consumer, and
-close the window and open a new one.
+mix platforms and carry duplicate lanes.  Two of the Skylake templates
+differ only in the platform's leakage coefficient (a test-local
+platform variant), so their lanes differ in that one lane-column
+constant alone; Skylake and Ryzen lanes also differ in
+``c_eff_scale``.  The rules advance k ticks, fire a deadline, assign,
+replace or unload an app, park or unpark a core, program a RAPL limit
+(one low enough to clip), start a budgeted app that finishes within a
+batch, release a chip to a consumer, and close the window and open a
+new one.
 
 After every rule both sides must agree on every chip float, the
 P-state requests and their registers, the P-state view, and every
@@ -37,7 +41,9 @@ nothing back into the window it checks.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -55,6 +61,7 @@ from hypothesis.stateful import (
 from repro.config import AppSpec, ExperimentConfig, build_stack
 from repro.core import gang
 from repro.hw import msr as msrdef
+from repro.hw.platform import PLATFORM_REGISTRY, PlatformSpec, get_platform
 from repro.sim import soa
 from repro.sim.core import BatchCoreLoad, IdleLoad
 from repro.workloads.app import RunningApp
@@ -64,21 +71,37 @@ from tests.unit.test_array_kernel import chip_fingerprint
 
 TICK_S = 5e-3
 
-#: two Skylake templates of one daemon shape (four apps, one of them
-#: AVX-capped) and a Ryzen one of three apps, which its P-state limit
-#: admits to the pass but whose group is always too narrow for it
+
+def leaky_skylake() -> PlatformSpec:
+    """Skylake with every constant kept but a higher leakage
+    coefficient."""
+    spec = get_platform("skylake")
+    return dataclasses.replace(
+        spec,
+        name="skylake-leaky",
+        power=dataclasses.replace(spec.power, leak_coeff_w_per_v=0.6),
+    )
+
+
+SKY_A = ExperimentConfig(
+    platform="skylake",
+    policy="frequency-shares",
+    limit_w=40.0,
+    apps=(AppSpec("leela", shares=100.0),
+          AppSpec("cactusBSSN", shares=50.0),
+          AppSpec("omnetpp", shares=25.0),
+          AppSpec("gcc", shares=75.0)),
+    tick_s=TICK_S,
+    engine="array",
+)
+
+#: three Skylake templates of one daemon shape (four apps, one of them
+#: AVX-capped), two of them apart in leakage alone, and a Ryzen one of
+#: three apps, which its P-state limit admits to the pass but whose
+#: group is always too narrow for it
 TEMPLATES = {
-    "sky-a": ExperimentConfig(
-        platform="skylake",
-        policy="frequency-shares",
-        limit_w=40.0,
-        apps=(AppSpec("leela", shares=100.0),
-              AppSpec("cactusBSSN", shares=50.0),
-              AppSpec("omnetpp", shares=25.0),
-              AppSpec("gcc", shares=75.0)),
-        tick_s=TICK_S,
-        engine="array",
-    ),
+    "sky-a": SKY_A,
+    "sky-a-leaky": dataclasses.replace(SKY_A, platform="skylake-leaky"),
     "sky-b": ExperimentConfig(
         platform="skylake",
         policy="frequency-shares",
@@ -104,7 +127,9 @@ TEMPLATES = {
 #: the members, each template repeated; the Skylake ones are one pass
 #: group of exactly the pass's minimum width
 MEMBERS = (
-    ["sky-a", "sky-b"] * (gang.DAEMON_GANG_MIN // 2) + ["ryzen"] * 2
+    ["sky-a", "sky-b"] * (gang.DAEMON_GANG_MIN // 2 - 1)
+    + ["sky-a-leaky"] * 2
+    + ["ryzen"] * 2
 )
 #: cores every member has (Ryzen has 8, Skylake 10)
 CORES = 8
@@ -126,7 +151,8 @@ cores = st.integers(0, CORES - 1)
 
 
 def build_side() -> list:
-    return [build_stack(TEMPLATES[name]) for name in MEMBERS]
+    with mock.patch.dict(PLATFORM_REGISTRY, {"skylake-leaky": leaky_skylake}):
+        return [build_stack(TEMPLATES[name]) for name in MEMBERS]
 
 
 def batch_load(platform, core_id: int, name: str, budget: float | None):

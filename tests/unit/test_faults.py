@@ -224,8 +224,6 @@ class TestFaultyMSRFile:
         faulty = FaultyMSRFile(chip.msr, scenario)
         faulty.poke(0, msrdef.IA32_APERF, 12345)  # must not raise
         assert chip.msr.read(0, msrdef.IA32_APERF) == 12345
-        faulty.advance_counter(0, msrdef.IA32_APERF, 5)
-        assert chip.msr.read(0, msrdef.IA32_APERF) == 12350
 
 
 class TestTickFaultGate:

@@ -106,20 +106,6 @@ class TestCounters:
         msr.poke(0, 0x10, (1 << 70) | 5)
         assert msr.read(0, 0x10) == 5
 
-    def test_advance_counter(self, msr):
-        msr.advance_counter(0, 0x10, 10)
-        msr.advance_counter(0, 0x10, 5)
-        assert msr.read(0, 0x10) == 15
-
-    def test_advance_counter_wraps(self, msr):
-        msr.poke(0, 0x10, ENERGY_COUNTER_MASK)
-        msr.advance_counter(0, 0x10, 2, wrap_mask=ENERGY_COUNTER_MASK)
-        assert msr.read(0, 0x10) == 1
-
-    def test_advance_negative_rejected(self, msr):
-        with pytest.raises(MSRPermissionError):
-            msr.advance_counter(0, 0x10, -1)
-
 
 class TestEnergyDelta:
     def test_simple_delta(self):

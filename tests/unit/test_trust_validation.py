@@ -4,9 +4,10 @@
 envelope (seeding, clamping, consistency, staleness), the exactness of
 the vectorized screen against per-report validation on adversarial
 batches, trust decay/probation/recovery and the documented quarantine
-bound, and the brownout ladder's hysteresis and shedding order.  One
-arbiter-level check drives the arbiters' report ingest against an
-oracle that validates every report.
+bound, and the brownout ladder's hysteresis and shedding order.  Two
+arbiter-level checks: one drives the arbiters' report ingest against an
+oracle that validates every report, one pins BROWNOUT1 claims on both
+arbiters.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import random
 
 import pytest
 
-from repro.cluster import ClusterArbiter, ClusterConfig, NodeSpec
+from repro.cluster import ClusterArbiter, ClusterConfig, DEMAND_SLACK, NodeSpec
 from repro.cluster.node import NodeEpochReport
 from repro.cluster.trust import (
     BOOT_FLOOR_FACTOR,
@@ -600,3 +601,40 @@ class TestBrownoutClaimBounds:
             for shares in (1.0, 2.0):
                 lo, cap_hi = self.bounds(level, hi=hi, shares=shares)
                 assert lo <= cap_hi
+
+
+class TestBrownoutArbiterClaims:
+    """Both arbiters build their claims in one method, so BROWNOUT1
+    collapses an idle node's floor the same way on either path: a node
+    reporting below its floor is claimed at ``max(demand x slack, 0.6 x
+    floor)``, not held at its full floor."""
+
+    @pytest.mark.parametrize("kind", ["flat", "fleet"])
+    def test_brownout1_claims_idle_nodes_at_their_demand(self, kind):
+        config = fleet_config(1, 1, 4, schedule=None)
+        if kind == "flat":
+            config = dataclasses.replace(config, topology=None)
+            arbiter = ClusterArbiter(config)
+        else:
+            arbiter = FleetArbiter(config)
+        names = [spec.name for spec in config.nodes]
+        floor = config.nodes[0].min_cap_w
+        arbiter.admit(names)
+        arbiter.rebalance(0, {})
+        arbiter.brownout.restore({"level": 1, "over": 0, "under": 0})
+        demand = {names[0]: 4.0, names[1]: 6.4, names[2]: 30.0}
+        reports = {
+            name: report(name=name, epoch=1, cap_w=30.0, power=power,
+                         throttle=0.0)
+            for name, power in demand.items()
+        }
+        grant = arbiter.rebalance(1, reports)
+        assert grant.brownout == 1
+        # 4 W x 1.25 = 5 W is under 0.6 x 10 W: the idle fraction binds
+        assert grant.caps_w[names[0]] == pytest.approx(
+            BROWNOUT_FLOOR_FRACTION * floor
+        )
+        # 6.4 W x 1.25 = 8 W: the claim collapses to the demand
+        assert grant.caps_w[names[1]] == pytest.approx(6.4 * DEMAND_SLACK)
+        # a busy node keeps its full floor and more
+        assert grant.caps_w[names[2]] > floor
