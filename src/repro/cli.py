@@ -3,9 +3,8 @@
 Usage::
 
     repro-power list
-    repro-power table1 [--platform skylake]
-    repro-power fig1 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | fig10 \
-                | fig11 | fig12
+    repro-power table1 | table2 | table3
+    repro-power fig1 | fig2 | ... | fig12 | fig13 [--quick]
     repro-power run --platform skylake --policy frequency-shares \
                 --limit 50 --apps leela:90,cactusBSSN:10 --duration 40
     repro-power run --faults full-storm --fault-seed 7 --duration 120
@@ -15,19 +14,21 @@ Usage::
     repro-power fleet --partition-rack row1/rack3
     repro-power faults [--json]
 
-``--quick`` shortens runs for smoke testing; results keep their shape
-but are noisier.  ``--jobs N`` (report/sweep) fans independent runs
-across N worker processes; results are deterministic and input-ordered
+A table or figure subcommand prints that section of the report
+(:data:`repro.experiments.full_report.SECTIONS`) exactly as ``report``
+does; ``fig13`` prints the Figs 12/13 section.  ``--quick`` shortens
+runs to the quick report's lengths; results keep their shape but are
+noisier.  ``--jobs N`` (report/sweep) fans independent runs across N
+worker processes; results are deterministic and input-ordered
 regardless of N.  ``cluster`` and ``fleet`` step all their nodes in one
 process.  Completed runs are cached on disk keyed by their full
 config — ``--no-cache`` (or ``REPRO_NO_CACHE=1``) bypasses the cache.
 ``--faults`` replays a named, seeded fault scenario
 against the daemon (flaky MSRs, garbage counters, dropped ticks, app
 crashes) and reports its health record — holdovers, retries,
-quarantines, and safe-mode transitions.  ``--engine scalar|array``
-(run/watch/sweep/cluster) picks the simulation engine — the batched
-array kernel by default, the scalar reference for cross-checks; both
-produce bit-identical results.
+quarantines, and safe-mode transitions.  ``REPRO_SIM_ENGINE=scalar``
+runs the scalar reference engine instead of the batched array kernel;
+both produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -35,148 +36,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.config import AppSpec, ENGINES, ExperimentConfig
+from repro.config import AppSpec, ExperimentConfig
 from repro.core.types import Priority
 from repro.errors import ReproError
+from repro.experiments.full_report import SECTIONS
 from repro.experiments.report import render_kv, render_table
 from repro.experiments.runner import BATCH_TICK_S, run_steady
-from repro.experiments import tables as tables_mod
 
 
-def _duration_args(args) -> dict:
-    if args.quick:
-        return {"duration_s": 30.0, "warmup_s": 12.0}
-    return {}
-
-
-def _cmd_table1(args) -> int:
-    print(render_kv(tables_mod.table1_features(args.platform),
-                    title=f"Table 1 — {args.platform}"))
-    return 0
-
-
-def _cmd_table2(args) -> int:
-    print(render_table(tables_mod.table2_rows(), title="Table 2"))
-    return 0
-
-
-def _cmd_table3(args) -> int:
-    print(render_table(tables_mod.table3_rows(), title="Table 3"))
-    return 0
-
-
-def _cmd_fig1(args) -> int:
-    from repro.experiments.rapl_interference import run_fig1_rapl_interference
-
-    result = run_fig1_rapl_interference(**_duration_args(args))
-    print(render_table(result.to_rows(), title="Fig 1 — RAPL interference"))
-    return 0
-
-
-def _cmd_fig2(args) -> int:
-    from repro.experiments.dvfs_sweep import run_dvfs_sweep
-
-    result = run_dvfs_sweep("skylake")
-    print(render_table(result.to_rows(), title="Fig 2 — DVFS sweep (Skylake)"))
-    return 0
-
-
-def _cmd_fig3(args) -> int:
-    from repro.experiments.dvfs_sweep import run_dvfs_sweep
-
-    result = run_dvfs_sweep("ryzen")
-    print(render_table(result.to_rows(), title="Fig 3 — DVFS sweep (Ryzen)"))
-    return 0
-
-
-def _cmd_fig4(args) -> int:
-    from repro.experiments.rapl_interference import run_fig4_percore_dvfs
-
-    result = run_fig4_percore_dvfs(**_duration_args(args))
-    print(render_table(result.to_rows(), title="Fig 4 — RAPL + per-core DVFS"))
-    return 0
-
-
-def _cmd_fig5(args) -> int:
-    from repro.experiments.latency_exp import run_fig5_unfair_throttling
-
-    result = run_fig5_unfair_throttling(**_duration_args(args))
-    print(render_table(result.to_rows(), title="Fig 5 — unfair throttling"))
-    return 0
-
-
-def _cmd_fig6(args) -> int:
-    from repro.experiments.timeshare_exp import run_fig6_timeshare
-
-    result = run_fig6_timeshare()
-    print(render_table(result.to_rows(), title="Fig 6 — time-shared power"))
-    return 0
-
-
-def _cmd_fig7(args) -> int:
-    from repro.experiments.priority_exp import run_fig7_priority_skylake
-
-    result = run_fig7_priority_skylake(**_duration_args(args))
-    print(render_table(result.to_rows(), title="Fig 7 — priority (Skylake)"))
-    return 0
-
-
-def _cmd_fig8(args) -> int:
-    from repro.experiments.priority_exp import run_fig8_priority_ryzen
-
-    result = run_fig8_priority_ryzen(**_duration_args(args))
-    print(render_table(result.to_rows(), title="Fig 8 — priority (Ryzen)"))
-    return 0
-
-
-def _cmd_fig9(args) -> int:
-    from repro.experiments.shares_exp import run_fig9_shares_skylake
-
-    result = run_fig9_shares_skylake(**_duration_args(args))
-    print(render_table(result.to_rows(), title="Fig 9 — shares (Skylake)"))
-    return 0
-
-
-def _cmd_fig10(args) -> int:
-    from repro.experiments.shares_exp import run_fig10_shares_ryzen
-
-    result = run_fig10_shares_ryzen(**_duration_args(args))
-    print(render_table(result.to_rows(), title="Fig 10 — shares (Ryzen)"))
-    return 0
-
-
-def _cmd_fig11(args) -> int:
-    from repro.experiments.random_exp import run_fig11_random_skylake
-
-    result = run_fig11_random_skylake(**_duration_args(args))
-    print(render_table(result.to_rows(), title="Fig 11 — random mixes"))
-    return 0
-
-
-def _cmd_fig12(args) -> int:
-    from repro.experiments.latency_exp import (
-        normalized_latency,
-        run_fig12_policies,
-    )
-
-    result = run_fig12_policies(**_duration_args(args))
-    print(render_table(result.to_rows(), title="Figs 12/13 — latency policies"))
-    rows = []
-    for limit in sorted({r.limit_w for r in result.runs}):
-        for policy in ("rapl", "frequency-shares", "performance-shares"):
-            try:
-                rows.append(
-                    {
-                        "policy": policy,
-                        "limit_w": limit,
-                        "latency_vs_alone": normalized_latency(
-                            result, policy, limit
-                        ),
-                    }
-                )
-            except ReproError:
-                continue
-    print(render_table(rows, title="Fig 12 normalized"))
+def _cmd_section(args) -> int:
+    section = args.section
+    print(section.text(section.run(quick=args.quick)))
     return 0
 
 
@@ -186,8 +56,8 @@ def _cmd_report(args) -> int:
     generate_report(
         quick=args.quick,
         stream=sys.stdout,
-        jobs=getattr(args, "jobs", None),
-        use_cache=not getattr(args, "no_cache", False),
+        jobs=args.jobs,
+        use_cache=not args.no_cache,
     )
     return 0
 
@@ -206,7 +76,6 @@ def _cmd_sweep(args) -> int:
         ),
         jobs=args.jobs,
         cache=cache,
-        engine=args.engine,
     )
     print(render_table(result.to_rows(), title=(
         f"Random sweep — {result.policy} @ {result.limit_w:.0f} W, "
@@ -258,7 +127,6 @@ def _cmd_cluster(args) -> int:
         lease_ttl_epochs=args.lease_ttl,
         crash_faults=args.crash_faults,
         telemetry=args.telemetry_faults,
-        **({} if args.engine is None else {"engine": args.engine}),
     )
     cache = ResultCache.from_env(enabled=not args.no_cache)
     result = run_cluster_experiment(
@@ -352,7 +220,6 @@ def _cmd_fleet(args) -> int:
         crash_faults=args.crash_faults,
         lease_ttl_epochs=args.lease_ttl,
         epoch_ticks=epoch_ticks,
-        engine=args.engine,
     )
     forecast = oversubscription_report(config)
     n_nodes = len(config.nodes)
@@ -480,7 +347,6 @@ def _cmd_watch(args) -> int:
         tick_s=BATCH_TICK_S,
         faults=args.faults,
         fault_seed=args.fault_seed,
-        **({} if args.engine is None else {"engine": args.engine}),
     )
     stack = build_stack(config)
     stack.engine.run(args.duration)
@@ -536,7 +402,6 @@ def _cmd_run(args) -> int:
         tick_s=BATCH_TICK_S,
         faults=args.faults,
         fault_seed=args.fault_seed,
-        **({} if args.engine is None else {"engine": args.engine}),
     )
     stack = build_stack(config)
     result = run_steady(
@@ -564,29 +429,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "table3": _cmd_table3,
-    "fig1": _cmd_fig1,
-    "fig2": _cmd_fig2,
-    "fig3": _cmd_fig3,
-    "fig4": _cmd_fig4,
-    "fig5": _cmd_fig5,
-    "fig6": _cmd_fig6,
-    "fig7": _cmd_fig7,
-    "fig8": _cmd_fig8,
-    "fig9": _cmd_fig9,
-    "fig10": _cmd_fig10,
-    "fig11": _cmd_fig11,
-    "fig12": _cmd_fig12,
-    "fig13": _cmd_fig12,  # Fig 13 data comes out of the Fig 12 runs
-    "gaming": _cmd_gaming,
-    "consolidation": _cmd_consolidation,
-    "report": _cmd_report,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-power",
@@ -600,26 +442,49 @@ def build_parser() -> argparse.ArgumentParser:
     faults_parser = sub.add_parser(
         "faults", help="list fault-injection scenarios for --faults"
     )
+    faults_parser.set_defaults(handler=_cmd_faults)
     faults_parser.add_argument(
         "--json", action="store_true",
         help="machine-readable listing (all scenario fields, one JSON "
              "object keyed by scenario family)",
     )
-    for name in _COMMANDS:
-        exp_parser = sub.add_parser(name, help=f"regenerate {name}")
-        exp_parser.add_argument("--platform", default="skylake")
-        exp_parser.add_argument(
-            "--quick", action="store_true", help="shorter, noisier runs"
+    for section in SECTIONS:
+        if section.name is None:
+            continue
+        exp_parser = sub.add_parser(
+            section.name, aliases=list(section.aliases),
+            help=f"print the report's section: {section.title}",
         )
-        if name == "report":
+        exp_parser.set_defaults(
+            handler=_cmd_section, section=section, quick=False
+        )
+        # a section whose quick run is its full run (a table) has no
+        # --quick
+        if section.quick != section.full:
             exp_parser.add_argument(
-                "--jobs", type=int, default=None, metavar="N",
-                help="fan independent runs across N worker processes",
+                "--quick", action="store_true",
+                help="the quick report's shorter, noisier runs",
             )
-            exp_parser.add_argument(
-                "--no-cache", action="store_true",
-                help="bypass the on-disk result cache",
-            )
+    sub.add_parser(
+        "gaming", help="ablation: an app padding itself with NOPs to win "
+                       "performance shares",
+    ).set_defaults(handler=_cmd_gaming)
+    sub.add_parser(
+        "consolidation", help="ablation: LP starvation vs consolidation",
+    ).set_defaults(handler=_cmd_consolidation)
+    report = sub.add_parser("report", help="the whole evaluation")
+    report.set_defaults(handler=_cmd_report)
+    report.add_argument(
+        "--quick", action="store_true", help="shorter, noisier runs"
+    )
+    report.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="fan independent runs across N worker processes",
+    )
+    report.add_argument(
+        "--no-cache", action="store_true",
+        help="bypass the on-disk result cache",
+    )
     # 'lint' is listed for help/discoverability; main() forwards its
     # arguments to repro.analysis.cli before this parser ever runs
     # (argparse.REMAINDER cannot forward leading options).
@@ -634,6 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="N simulated nodes under one facility budget "
              "(hierarchical arbitration)",
     )
+    cluster.set_defaults(handler=_cmd_cluster)
     cluster.add_argument("--nodes", type=int, default=4, metavar="N",
                          help="number of nodes (default 4)")
     cluster.add_argument("--budget", type=float, default=150.0,
@@ -694,16 +560,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="bypass the on-disk result cache",
     )
-    cluster.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="simulation engine for every node stack (default: "
-             "REPRO_SIM_ENGINE or 'array'; results are bit-identical)",
-    )
     fleet = sub.add_parser(
         "fleet",
         help="facility -> row -> rack -> node hierarchy at 1,000+ "
              "nodes: diurnal traffic under an oversubscribed budget",
     )
+    fleet.set_defaults(handler=_cmd_fleet)
     fleet.add_argument("--rows", type=int, default=4,
                        help="rows in the facility (default 4)")
     fleet.add_argument("--racks", type=int, default=8, metavar="N",
@@ -761,13 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="bypass the on-disk result cache",
     )
-    fleet.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="simulation engine for every node stack",
-    )
     sweep = sub.add_parser(
         "sweep", help="seeded random-mix sweep (generalized Fig 11)"
     )
+    sweep.set_defaults(handler=_cmd_sweep)
     sweep.add_argument("--policy", default="frequency-shares")
     sweep.add_argument("--limit", type=float, default=45.0)
     sweep.add_argument("--seeds", type=int, default=5)
@@ -782,16 +641,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="bypass the on-disk result cache",
     )
-    sweep.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="simulation engine for every run (default: "
-             "REPRO_SIM_ENGINE or 'array'; results are bit-identical)",
-    )
-    for name, helptext in (
-        ("run", "run a custom configuration"),
-        ("watch", "run a custom configuration and chart its dynamics"),
+    for name, handler, helptext in (
+        ("run", _cmd_run, "run a custom configuration"),
+        ("watch", _cmd_watch,
+         "run a custom configuration and chart its dynamics"),
     ):
         custom = sub.add_parser(name, help=helptext)
+        custom.set_defaults(handler=handler)
         custom.add_argument("--platform", default="skylake")
         custom.add_argument("--policy", default="frequency-shares")
         custom.add_argument("--limit", type=float, default=50.0)
@@ -814,12 +670,93 @@ def build_parser() -> argparse.ArgumentParser:
             "--fault-seed", type=int, default=0,
             help="seed for the fault schedule (deterministic replay)",
         )
-        custom.add_argument(
-            "--engine", choices=ENGINES, default=None,
-            help="simulation engine (default: REPRO_SIM_ENGINE or "
-                 "'array'; results are bit-identical)",
-        )
+    list_parser.set_defaults(handler=_cmd_list, commands=sorted(sub.choices))
     return parser
+
+
+def _cmd_list(args) -> int:
+    for name in args.commands:
+        print(name)
+    return 0
+
+
+def _cmd_faults(args) -> int:
+    from repro.faults import (
+        CRASH_SCENARIOS,
+        SCENARIOS,
+        TELEMETRY_SCENARIOS,
+        TRANSPORT_SCENARIOS,
+    )
+    from repro.faults.scenario import RATE_FIELDS, TRANSPORT_RATE_FIELDS
+
+    if args.json:
+        import dataclasses
+        import json
+
+        payload = {
+            "daemon": {
+                name: dataclasses.asdict(s)
+                for name, s in SCENARIOS.items()
+            },
+            "transport": {
+                name: dataclasses.asdict(s)
+                for name, s in TRANSPORT_SCENARIOS.items()
+            },
+            "crash": {
+                name: dataclasses.asdict(s)
+                for name, s in CRASH_SCENARIOS.items()
+            },
+            "telemetry": {
+                name: dataclasses.asdict(s)
+                for name, s in TELEMETRY_SCENARIOS.items()
+            },
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return 0
+    width = max(
+        len(name)
+        for name in (
+            list(SCENARIOS)
+            + list(TRANSPORT_SCENARIOS)
+            + list(CRASH_SCENARIOS)
+            + list(TELEMETRY_SCENARIOS)
+        )
+    )
+    for name, scenario in sorted(SCENARIOS.items()):
+        active = [f for f in RATE_FIELDS if getattr(scenario, f) > 0]
+        if scenario.app_crashes:
+            active.append("app_crashes")
+        if scenario.window_s is not None:
+            active.append(f"window={scenario.window_s}")
+        print(f"{name.ljust(width)}  {', '.join(active) or 'clean'}")
+    print()
+    print("transport scenarios (cluster --transport-faults):")
+    for name, ts in sorted(TRANSPORT_SCENARIOS.items()):
+        active = [f for f in TRANSPORT_RATE_FIELDS if getattr(ts, f) > 0]
+        if ts.partitions:
+            active.append(
+                "partitions=" + ",".join(
+                    f"{p.node or '*'}@{p.start_epoch}-{p.end_epoch}"
+                    for p in ts.partitions
+                )
+            )
+        print(f"{name.ljust(width)}  {', '.join(active) or 'clean'}")
+    print()
+    print("crash scenarios (cluster --crash-faults):")
+    for name, cs in sorted(CRASH_SCENARIOS.items()):
+        print(f"{name.ljust(width)}  {cs.description}")
+    print()
+    print("telemetry scenarios (cluster --telemetry-faults):")
+    for name, tel in sorted(TELEMETRY_SCENARIOS.items()):
+        active = [
+            f"{f.node}:{f.kind}@{f.start_epoch}-"
+            f"{'' if f.end_epoch is None else f.end_epoch}"
+            for f in tel.faults
+        ]
+        if tel.garbage_rate > 0:
+            active.append(f"garbage_rate={tel.garbage_rate}")
+        print(f"{name.ljust(width)}  {', '.join(active) or 'clean'}")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -830,111 +767,8 @@ def main(argv: list[str] | None = None) -> int:
 
         return run_lint(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        for name in sorted(_COMMANDS) + [
-            "cluster", "fleet", "lint", "run", "sweep", "watch"
-        ]:
-            print(name)
-        return 0
-    if args.command == "faults":
-        from repro.faults import (
-            CRASH_SCENARIOS,
-            SCENARIOS,
-            TELEMETRY_SCENARIOS,
-            TRANSPORT_SCENARIOS,
-        )
-
-        if args.json:
-            import dataclasses
-            import json
-
-            payload = {
-                "daemon": {
-                    name: dataclasses.asdict(s)
-                    for name, s in SCENARIOS.items()
-                },
-                "transport": {
-                    name: dataclasses.asdict(s)
-                    for name, s in TRANSPORT_SCENARIOS.items()
-                },
-                "crash": {
-                    name: dataclasses.asdict(s)
-                    for name, s in CRASH_SCENARIOS.items()
-                },
-                "telemetry": {
-                    name: dataclasses.asdict(s)
-                    for name, s in TELEMETRY_SCENARIOS.items()
-                },
-            }
-            print(json.dumps(payload, indent=2, sort_keys=True))
-            return 0
-        width = max(
-            len(name)
-            for name in (
-                list(SCENARIOS)
-                + list(TRANSPORT_SCENARIOS)
-                + list(CRASH_SCENARIOS)
-                + list(TELEMETRY_SCENARIOS)
-            )
-        )
-        for name, scenario in sorted(SCENARIOS.items()):
-            active = [
-                f for f in (
-                    "msr_read_fail_rate", "msr_write_fail_rate",
-                    "stuck_counter_rate", "garbage_counter_rate",
-                    "wrap_storm_rate", "tick_drop_rate",
-                    "tick_jitter_rate",
-                ) if getattr(scenario, f) > 0
-            ]
-            if scenario.app_crashes:
-                active.append("app_crashes")
-            if scenario.window_s is not None:
-                active.append(f"window={scenario.window_s}")
-            print(f"{name.ljust(width)}  {', '.join(active) or 'clean'}")
-        print()
-        print("transport scenarios (cluster --transport-faults):")
-        for name, ts in sorted(TRANSPORT_SCENARIOS.items()):
-            active = [
-                f for f in (
-                    "drop_rate", "dup_rate", "delay_rate", "reorder_rate",
-                ) if getattr(ts, f) > 0
-            ]
-            if ts.partitions:
-                active.append(
-                    "partitions=" + ",".join(
-                        f"{p.node or '*'}@{p.start_epoch}-{p.end_epoch}"
-                        for p in ts.partitions
-                    )
-                )
-            print(f"{name.ljust(width)}  {', '.join(active) or 'clean'}")
-        print()
-        print("crash scenarios (cluster --crash-faults):")
-        for name, cs in sorted(CRASH_SCENARIOS.items()):
-            print(f"{name.ljust(width)}  {cs.description}")
-        print()
-        print("telemetry scenarios (cluster --telemetry-faults):")
-        for name, tel in sorted(TELEMETRY_SCENARIOS.items()):
-            active = [
-                f"{f.node}:{f.kind}@{f.start_epoch}-"
-                f"{'' if f.end_epoch is None else f.end_epoch}"
-                for f in tel.faults
-            ]
-            if tel.garbage_rate > 0:
-                active.append(f"garbage_rate={tel.garbage_rate}")
-            print(f"{name.ljust(width)}  {', '.join(active) or 'clean'}")
-        return 0
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "watch":
-            return _cmd_watch(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "cluster":
-            return _cmd_cluster(args)
-        if args.command == "fleet":
-            return _cmd_fleet(args)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

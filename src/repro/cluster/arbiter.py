@@ -29,8 +29,9 @@ epoch proves the clean majority clean, ``validate`` judges and clamps
 the rest, and only the clamped report is kept as demand history.
 
 :func:`~repro.core.minfund.refill_pool` then water-fills the budget.
-A flat cluster is one root pool: the bidding budget is split once over
-the root's aggregate claim, and node shares split that pool into caps.
+A flat cluster is one root pool: the bidding budget clamped to the
+members' aggregate claim (sum of floors to sum of ceilings), which node
+shares split into caps.
 A hierarchy is a :class:`~repro.fleet.topology.DomainSpec` topology,
 arbitrated by the fleet arbiter.  Saturated nodes (at ``hi``) release
 budget to the others and the fill re-runs — exactly the revocation
@@ -415,19 +416,16 @@ class ClusterArbiter:
             claims.append(Claim(name, self._node_shares[name], 0.0, lo, hi))
         if not claims:
             return {}, (), {}, 0.0
-        # the root split: the bidding budget (net of silent members'
-        # reservations) against the members' aggregate claim
-        root = Claim(
-            ROOT_POOL,
-            1.0,
-            0.0,
-            sum(c.lo for c in claims),
+        # the root pool: the bidding budget (net of silent members'
+        # reservations) clamped to the members' aggregate claim, which
+        # is one claim's whole share of a pool
+        pool = min(
+            max(budget, sum(c.lo for c in claims)),
             sum(c.hi for c in claims),
         )
-        pools = refill_pool(budget, [root])
-        fill = refill_pool(pools[ROOT_POOL], claims)
+        fill = refill_pool(pool, claims)
         caps.update(fill)
-        return pools, (), {}, sum(fill[c.label] for c in claims)
+        return {ROOT_POOL: pool}, (), {}, sum(fill[c.label] for c in claims)
 
     def _classify(
         self, epoch: int

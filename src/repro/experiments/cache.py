@@ -73,7 +73,11 @@ if TYPE_CHECKING:
 #: node always did) and no flat ``groups`` (cluster config keys lose the
 #: ``groups`` and per-node ``group`` fields) — v5 fleet entries under
 #: brownout hold other grants.
-CACHE_VERSION = 6
+#:
+#: v7: a flat cluster's root pool is the bidding budget clamped to the
+#: members' aggregate claim, where a bisection used to land up to one
+#: float low — v6 flat-cluster pools and caps can differ by one ulp.
+CACHE_VERSION = 7
 
 #: default cache root (overridden by ``REPRO_CACHE_DIR``).
 DEFAULT_CACHE_DIR = "~/.cache/repro-power"

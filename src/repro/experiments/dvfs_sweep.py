@@ -67,18 +67,6 @@ class DvfsSweepResult:
             "p99": percentile(powers, 99.0),
         }
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "benchmark": p.benchmark,
-                "freq_mhz": p.set_frequency_mhz,
-                "eff_mhz": p.effective_frequency_mhz,
-                "norm_runtime": p.normalized_runtime,
-                "pkg_power_w": p.package_power_w,
-            }
-            for p in self.points
-        ]
-
 
 def default_sweep_frequencies(platform: PlatformSpec) -> list[float]:
     """A representative subset of the grid (the paper sweeps ~8 levels)."""

@@ -82,14 +82,8 @@ def run_random_sweep(
     warmup_s: float = 18.0,
     jobs: int | None = None,
     cache: ResultCache | None = None,
-    engine: str | None = None,
 ) -> RandomSweepResult:
-    """Fig 11 methodology over ``n_seeds`` random benchmark subsets.
-
-    ``engine`` overrides the ambient simulation engine for every run
-    in the sweep (``None`` keeps :func:`repro.config.default_engine`);
-    the result is bit-identical either way.
-    """
+    """Fig 11 methodology over ``n_seeds`` random benchmark subsets."""
     if n_seeds <= 0:
         raise ConfigError("need at least one seed")
     seeds_names: list[tuple[int, list[str], list[AppSpec]]] = []
@@ -104,7 +98,6 @@ def run_random_sweep(
         config = ExperimentConfig(
             platform="skylake", policy=policy, limit_w=limit_w,
             apps=tuple(specs), tick_s=BATCH_TICK_S,
-            **({} if engine is None else {"engine": engine}),
         )
         seeds_names.append((seed, names, specs))
         tasks.append(ExperimentTask(config, duration_s, warmup_s))

@@ -49,10 +49,6 @@ class ShareCell:
     hd_norm_perf: float
     package_power_w: float
 
-    @property
-    def ld_share_fraction(self) -> float:
-        return self.ld_shares / (self.ld_shares + self.hd_shares)
-
 
 @dataclass(frozen=True)
 class ShareResult:

@@ -39,7 +39,8 @@ class AppCrash:
             raise FaultConfigError("crash app index cannot be negative")
 
 
-_RATE_FIELDS = (
+#: the per-opportunity probability fields of a :class:`FaultScenario`.
+RATE_FIELDS = (
     "msr_read_fail_rate",
     "msr_write_fail_rate",
     "stuck_counter_rate",
@@ -90,7 +91,7 @@ class FaultScenario:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise FaultConfigError("seed cannot be negative")
-        for field_name in _RATE_FIELDS:
+        for field_name in RATE_FIELDS:
             rate = getattr(self, field_name)
             if not 0.0 <= rate <= 1.0:
                 raise FaultConfigError(
@@ -122,7 +123,7 @@ class FaultScenario:
     def faults_msrs(self) -> bool:
         return any(
             getattr(self, f) > 0.0
-            for f in _RATE_FIELDS
+            for f in RATE_FIELDS
             if not f.startswith("tick_")
         )
 
@@ -247,7 +248,8 @@ class LinkPartition:
         return self.start_epoch <= epoch < self.end_epoch
 
 
-_TRANSPORT_RATE_FIELDS = (
+#: the per-envelope probability fields of a :class:`TransportScenario`.
+TRANSPORT_RATE_FIELDS = (
     "drop_rate",
     "dup_rate",
     "delay_rate",
@@ -277,7 +279,7 @@ class TransportScenario:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise FaultConfigError("seed cannot be negative")
-        for field_name in _TRANSPORT_RATE_FIELDS:
+        for field_name in TRANSPORT_RATE_FIELDS:
             rate = getattr(self, field_name)
             if not 0.0 <= rate <= 1.0:
                 raise FaultConfigError(
@@ -294,7 +296,7 @@ class TransportScenario:
     def quiet(self) -> bool:
         """No faults configured: the transport is a perfect wire."""
         return (
-            all(is_zero(getattr(self, f)) for f in _TRANSPORT_RATE_FIELDS)
+            all(is_zero(getattr(self, f)) for f in TRANSPORT_RATE_FIELDS)
             and not self.partitions
         )
 

@@ -66,13 +66,11 @@ class Chip:
         *,
         tick_s: float = DEFAULT_TICK_SECONDS,
         rapl_config: RaplLimiterConfig | None = None,
-        enforce_pstate_limit: bool = True,
     ):
         if tick_s <= 0:
             raise SimulationError("tick must be positive")
         self.platform = platform
         self.tick_s = tick_s
-        self.enforce_pstate_limit = enforce_pstate_limit
         min_mhz = platform.min_frequency_mhz
         self.cores = [Core(i, min_mhz) for i in platform.core_ids()]
         self.msr = MSRFile(platform.n_cores)
@@ -210,7 +208,7 @@ class Chip:
 
     def _check_simultaneous_pstates(self) -> None:
         limit = self.platform.simultaneous_pstates
-        if not self.enforce_pstate_limit or limit >= self.platform.n_cores:
+        if limit >= self.platform.n_cores:
             return
         distinct = {
             core.requested_mhz for core in self.cores if core.active

@@ -672,8 +672,7 @@ class _Gang:
         #: has cores: their view refresh checks the requests first
         self.checked = {
             i for i, chip in enumerate(chips)
-            if chip.enforce_pstate_limit
-            and chip.platform.simultaneous_pstates < len(chip.cores)
+            if chip.platform.simultaneous_pstates < len(chip.cores)
         }
 
     @staticmethod

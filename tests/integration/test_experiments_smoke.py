@@ -8,6 +8,7 @@ wall-clock cost.
 import pytest
 
 from repro.experiments.dvfs_sweep import run_dvfs_sweep
+from repro.experiments.full_report import SECTIONS
 from repro.experiments.latency_exp import (
     normalized_latency,
     run_fig5_unfair_throttling,
@@ -42,7 +43,9 @@ def test_dvfs_sweep_smoke():
         duration_s=2.0,
     )
     assert {p.benchmark for p in result.points} == {"gcc", "cam4"}
-    render_table(result.to_rows())
+    fig2 = next(s for s in SECTIONS if s.name == "fig2")
+    # the report's box plot: header, rule and one row per frequency
+    assert len(fig2.render(result).splitlines()) == 2 + 3
 
 
 def test_fig4_smoke():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import FrequencyError, MSRPermissionError, PlatformError
 from repro.hw import msr as msrdef
-from repro.sim.chip import Chip
 from repro.sim.core import BatchCoreLoad
 from repro.workloads.app import RunningApp
 from repro.workloads.spec import spec_app
@@ -128,14 +127,6 @@ class TestSimultaneousPstates:
         ):
             ryzen_chip.set_requested_frequency(core_id, freq)
         ryzen_chip.run_ticks(2)  # only core 0 active
-
-    def test_enforcement_can_be_disabled(self, ryzen):
-        chip = Chip(ryzen, enforce_pstate_limit=False)
-        for core_id in range(4):
-            load_app(chip, core_id)
-        for core_id, freq in enumerate([800.0, 1600.0, 2400.0, 3200.0]):
-            chip.set_requested_frequency(core_id, freq)
-        chip.run_ticks(2)
 
     def test_skylake_unrestricted(self, sky_chip):
         for core_id in range(10):

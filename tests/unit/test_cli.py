@@ -1,9 +1,30 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import _parse_apps, main
 from repro.core.types import Priority
+from repro.experiments.full_report import SECTIONS
+
+#: the quick report as committed for the benchmark's output check
+QUICK_REPORT = (
+    Path(__file__).resolve().parents[2]
+    / "perfbench" / "expected" / "paper-quick.txt"
+)
+
+
+def committed_sections() -> dict[str, str]:
+    """The committed quick report's sections by heading, each split at
+    the ``## `` lines as the benchmark splits them."""
+    sections: dict[str, list[str]] = {}
+    lines: list[str] = []
+    for line in QUICK_REPORT.read_text().splitlines(keepends=True):
+        if line.startswith("## "):
+            lines = sections[line[3:].rstrip("\n")] = []
+        lines.append(line)
+    return {title: "".join(lines) for title, lines in sections.items()}
 
 
 class TestParseApps:
@@ -30,12 +51,15 @@ class TestParseApps:
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig7" in out and "run" in out
+        names = capsys.readouterr().out.splitlines()
+        # the parser's subcommands, aliases and listings included
+        assert {"fig7", "fig13", "run", "faults", "list"} <= set(names)
+        assert names == sorted(names)
 
     def test_table1(self, capsys):
-        assert main(["table1", "--platform", "skylake"]) == 0
-        assert "skylake" in capsys.readouterr().out
+        assert main(["table1"]) == 0
+        blocks = capsys.readouterr().out.splitlines()
+        assert "skylake" in blocks and "ryzen" in blocks
 
     def test_table2(self, capsys):
         assert main(["table2"]) == 0
@@ -123,3 +147,21 @@ class TestCommands:
         )
         assert args.jobs == 4
         assert args.no_cache is True
+
+
+#: the sections whose quick run takes a few seconds at most
+SHORT_SECTIONS = (
+    "table1", "table2", "table3",
+    "fig1", "fig2", "fig3", "fig4", "fig6", "fig8", "fig11",
+)
+
+
+@pytest.mark.parametrize("name", SHORT_SECTIONS)
+def test_section_prints_the_quick_report_section(name, capsys):
+    """``repro-power <section> --quick`` prints that section of the
+    quick report byte for byte (a table takes no ``--quick``: it runs
+    nothing)."""
+    section = next(s for s in SECTIONS if s.name == name)
+    argv = [name] + (["--quick"] if section.quick != section.full else [])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == committed_sections()[section.title]

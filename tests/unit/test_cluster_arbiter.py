@@ -156,6 +156,20 @@ class TestDomainShares:
         assert set(grant.pools_w) == {""}
         assert grant.pools_w[""] == pytest.approx(100.0)
 
+    @pytest.mark.parametrize("budget, pool", [
+        # a bisection over the one root claim lands a float low here
+        (807.8384323242636, 807.8384323242636),
+        (2000.0, 1143.6313904067813),
+    ])
+    def test_flat_root_pool_is_the_clamped_budget(self, budget, pool):
+        # one claim's share of a pool is the pool clamped to its bounds
+        arbiter = make_arbiter(
+            node("a", min_cap_w=116.08806403150729,
+                 max_cap_w=1143.6313904067813),
+            budget=budget,
+        )
+        assert arbiter.rebalance(0, {}).pools_w[""] == pool
+
 
 class TestGroups:
     def test_group_shares_split_budget_between_pools(self):
