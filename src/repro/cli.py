@@ -28,12 +28,15 @@ against the daemon (flaky MSRs, garbage counters, dropped ticks, app
 crashes) and reports its health record — holdovers, retries,
 quarantines, and safe-mode transitions.  ``REPRO_SIM_ENGINE=scalar``
 runs the scalar reference engine instead of the batched array kernel;
-both produce bit-identical results.
+both produce bit-identical results.  Output piped into a reader that
+exits early (``| head``) ends the command quietly, with status 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 from repro.config import AppSpec, ExperimentConfig
@@ -762,16 +765,26 @@ def _cmd_faults(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv[:1] == ["lint"]:
-        from repro.analysis.cli import run_lint
-
-        return run_lint(argv[1:])
-    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if argv[:1] == ["lint"]:
+            from repro.analysis.cli import run_lint
+
+            status = run_lint(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
+            try:
+                status = args.handler(args)
+            except ReproError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                status = 1
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader exited early (``| head``): send what is still
+        # buffered to /dev/null, so the flush at exit stays quiet too
+        with contextlib.suppress(OSError, ValueError):  # no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    return status
 
 
 if __name__ == "__main__":

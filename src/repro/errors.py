@@ -65,16 +65,6 @@ class ShareError(PolicyError):
     """Invalid share specification (non-positive shares, empty set, ...)."""
 
 
-class StarvationError(PolicyError):
-    """Raised when a strict policy cannot admit an application at all and
-    the caller requested admission be mandatory."""
-
-
-class TelemetryError(ReproError):
-    """Telemetry is unavailable or failed a plausibility check
-    (negative power, frequency off the grid, impossible IPS)."""
-
-
 class FaultConfigError(ConfigError):
     """Invalid fault-injection scenario (rates outside [0, 1], unknown
     scenario name, crash events pointing at missing apps, ...)."""

@@ -35,7 +35,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from repro.config import AppSpec, ExperimentConfig
 from repro.core.types import Priority
@@ -81,6 +81,8 @@ CACHE_VERSION = 7
 
 #: default cache root (overridden by ``REPRO_CACHE_DIR``).
 DEFAULT_CACHE_DIR = "~/.cache/repro-power"
+
+_T = TypeVar("_T")
 
 
 def cache_disabled_by_env() -> bool:
@@ -216,23 +218,25 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(
-        self,
-        config: ExperimentConfig,
-        duration_s: float,
-        warmup_s: float,
-    ) -> SteadyRunResult | None:
-        path = self._path(cache_key(config, duration_s, warmup_s))
+    def _load(
+        self, key: str, kind: str | None, decode: Callable[[Any], _T]
+    ) -> _T | None:
+        """The entry at ``key`` decoded, or None on a miss.  An entry
+        that cannot be read or decoded, or whose schema or kind does not
+        match, is dropped and counts as a miss."""
+        path = self._path(key)
         try:
             with path.open("r", encoding="utf-8") as handle:
                 data = json.load(handle)
             if data.get("schema") != CACHE_VERSION:
                 raise ValueError("schema mismatch")
-            result = result_from_jsonable(data["result"])
+            if data.get("kind") != kind:
+                raise ValueError("kind mismatch")
+            result = decode(data["result"])
         except FileNotFoundError:
             self.stats.misses += 1
             return None
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             # unreadable/corrupt entry: drop it and treat as a miss
             path.unlink(missing_ok=True)
             self.stats.misses += 1
@@ -240,17 +244,13 @@ class ResultCache:
         self.stats.hits += 1
         return result
 
-    def put(
-        self,
-        config: ExperimentConfig,
-        duration_s: float,
-        warmup_s: float,
-        result: SteadyRunResult,
-    ) -> None:
-        path = self._path(cache_key(config, duration_s, warmup_s))
+    def _store(self, key: str, kind: str | None, result: Any) -> None:
+        """Publish ``result`` at ``key``, tagged with ``kind``."""
+        tag = {} if kind is None else {"kind": kind}
         payload = json.dumps(
-            {"schema": CACHE_VERSION, "result": result_to_jsonable(result)}
+            {"schema": CACHE_VERSION, **tag, "result": result}
         )
+        path = self._path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             # atomic publish so concurrent workers never see torn JSON
@@ -265,65 +265,48 @@ class ResultCache:
             return
         self.stats.stores += 1
 
+    def get(
+        self, config: ExperimentConfig, duration_s: float, warmup_s: float
+    ) -> SteadyRunResult | None:
+        return self._load(
+            cache_key(config, duration_s, warmup_s), None,
+            result_from_jsonable,
+        )
+
+    def put(
+        self, config: ExperimentConfig, duration_s: float, warmup_s: float,
+        result: SteadyRunResult,
+    ) -> None:
+        self._store(
+            cache_key(config, duration_s, warmup_s), None,
+            result_to_jsonable(result),
+        )
+
     # -- cluster experiments ------------------------------------------------------
     #
     # Cluster runs are pure functions of their ClusterConfig plus
     # durations, exactly like the single-socket runs above, so they get
     # the same hit/miss/store accounting on the same handle (the full
-    # report's footer counts both).
+    # report's footer counts both).  Their entries carry
+    # ``"kind": "cluster"``; single-socket entries carry no kind.
 
     def get_cluster(
-        self,
-        config: "ClusterConfig",
-        duration_s: float,
-        warmup_s: float,
+        self, config: "ClusterConfig", duration_s: float, warmup_s: float
     ) -> "ClusterRunResult | None":
         from repro.experiments.cluster_exp import cluster_result_from_jsonable
 
-        path = self._path(cluster_cache_key(config, duration_s, warmup_s))
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            if data.get("schema") != CACHE_VERSION:
-                raise ValueError("schema mismatch")
-            if data.get("kind") != "cluster":
-                raise ValueError("kind mismatch")
-            result = cluster_result_from_jsonable(data["result"])
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (OSError, ValueError, KeyError, TypeError):
-            path.unlink(missing_ok=True)
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return result
+        return self._load(
+            cluster_cache_key(config, duration_s, warmup_s), "cluster",
+            cluster_result_from_jsonable,
+        )
 
     def put_cluster(
-        self,
-        config: "ClusterConfig",
-        duration_s: float,
-        warmup_s: float,
+        self, config: "ClusterConfig", duration_s: float, warmup_s: float,
         result: "ClusterRunResult",
     ) -> None:
         from repro.experiments.cluster_exp import cluster_result_to_jsonable
 
-        path = self._path(cluster_cache_key(config, duration_s, warmup_s))
-        payload = json.dumps(
-            {
-                "schema": CACHE_VERSION,
-                "kind": "cluster",
-                "result": cluster_result_to_jsonable(result),
-            }
+        self._store(
+            cluster_cache_key(config, duration_s, warmup_s), "cluster",
+            cluster_result_to_jsonable(result),
         )
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except OSError:
-            return
-        self.stats.stores += 1

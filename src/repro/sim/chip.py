@@ -23,9 +23,7 @@ the chip's mutators (:meth:`set_requested_frequency`, :meth:`park`,
 :meth:`assign_load`) actually changed something, or when a load finished
 (which changes the active-core count and hence the turbo ceiling).
 Mutating ``chip.cores[i]`` directly bypasses the flag — always go
-through the chip's methods.  ``dirty_caching=False`` disables the cache
-and recomputes everything every tick (the equivalence tests' reference
-mode).
+through the chip's methods.
 """
 
 from __future__ import annotations
@@ -93,13 +91,10 @@ class Chip:
         self._aperf_cycles = [0.0] * n
         self._mperf_cycles = [0.0] * n
         self._instr_total = [0.0] * n
-        #: set False to re-resolve the P-state check and turbo ceiling
-        #: every tick (reference mode for the fast-path equivalence tests)
-        self.dirty_caching = True
         self._dirty = True
         #: bumped on every P-state view refresh; the array engine keys
-        #: its cached frequency rows on it, so a refresh triggered by the
-        #: scalar path (which consumes ``_dirty``) still invalidates them
+        #: its cached frequency rows on it, so a refresh run by the fused
+        #: loop (which consumes ``_dirty``) still invalidates them
         self._view_generation = 0
         #: bumped when a core's load or parked flag changes (never by a
         #: P-state request); the array engine keys its cached placement
@@ -249,7 +244,7 @@ class Chip:
     def tick(self) -> None:
         """Advance the chip by one tick."""
         dt = self.tick_s
-        if self._dirty or not self.dirty_caching:
+        if self._dirty:
             self._refresh_pstate_view()
         # 1. resolve effective frequencies (cached base + live RAPL cap)
         base = self._base_effective_mhz

@@ -1,11 +1,11 @@
 """Simulation engine: tick loop with periodic callbacks.
 
-The engine advances a :class:`~repro.sim.chip.Chip` tick by tick and
-invokes registered periodic callbacks — most importantly the power
-daemon's 1 s control iteration (paper section 5) and the telemetry
-sampler.  Callbacks fire *after* the ticks covering their period have
-run, which matches a real daemon waking from ``sleep(1)`` and reading
-counters that accumulated while it slept.
+The engine advances a :class:`~repro.sim.chip.Chip` through simulated
+time and invokes registered periodic callbacks — most importantly the
+power daemon's 1 s control iteration (paper section 5) and the
+telemetry sampler.  Callbacks fire *after* the ticks covering their
+period have run, which matches a real daemon waking from ``sleep(1)``
+and reading counters that accumulated while it slept.
 
 Periodic callbacks accept an optional *gate* — a scheduling-fault hook
 consulted at every deadline that can let the callback fire, drop the
@@ -16,21 +16,15 @@ oversleeps or gets preempted past its deadline.  One-shot events
 (:meth:`SimEngine.at`) model externally-timed happenings such as an
 application crashing mid-run.
 
-The tick loop has two execution paths with identical semantics:
-
-* **batched fast path** (default): compute the next pending deadline
-  across all periodic and one-shot callbacks and advance the whole gap
-  in one call, skipping the per-tick callback scan entirely;
-* **per-tick slow path**: the original tick-by-tick dispatch.
-
-Any registered *gate* forces the slow path: gates must be consulted at
-every deadline with the fault stream drawn in per-deadline order, so
-fault-injected runs keep their chaos semantics bit-identical.  Setting
-``engine.batching = False`` also forces the slow path (the equivalence
-tests' reference mode).
+The tick loop steps from deadline to deadline: it computes the next
+pending deadline across all periodic and one-shot callbacks and
+advances the whole gap in one call.  A gate is consulted only when the
+loop reaches its callback's deadline, and the loop stops at every
+deadline, so a fault-injected run draws its fault stream in the order a
+tick-by-tick loop would and steps like any other run.
 
 Orthogonally to *when* callbacks fire, ``engine="scalar"|"array"``
-selects *how* a batched gap is stepped: ``Chip.advance_ticks`` (the
+selects *how* a gap is stepped: ``Chip.advance_ticks`` (the
 per-tick reference loop) or :func:`repro.sim.soa.advance_chip`, the
 struct-of-arrays numpy batch, which is bit-identical by contract and
 hands the ticks it cannot batch to the fused per-tick loop
@@ -119,9 +113,8 @@ class SimEngine:
         self._periodics: list[_Periodic] = []
         self._oneshots: list[_OneShot] = []
         self._ticks_run = 0
-        #: set False to force the per-tick slow path (reference mode).
-        self.batching = True
-        #: number of batched chip advances taken (observability/tests).
+        #: number of deadline-to-deadline chip advances taken
+        #: (observability/tests).
         self.batched_segments = 0
         #: determinism sanitizer (``REPRO_SANITIZE=1``): records a chip
         #: digest after every ``run_ticks`` window, keyed by tick count,
@@ -203,11 +196,6 @@ class SimEngine:
             raise SimulationError("duration cannot be negative")
         self.run_ticks(n_ticks)
 
-    def _delay_ticks(self, delay_s: float) -> int:
-        if delay_s < 0:
-            raise SimulationError("gate returned a negative deferral")
-        return max(1, int(round(delay_s / self.chip.tick_s)))
-
     def _process_due_callbacks(
         self,
         window: soa.Window | None = None,
@@ -257,9 +245,10 @@ class SimEngine:
                 verdict, bool
             ):
                 # jitter: the wakeup slips by the returned seconds
-                periodic.next_due = (
-                    self._ticks_run + self._delay_ticks(float(verdict))
-                )
+                if verdict < 0:
+                    raise SimulationError("gate returned a negative deferral")
+                delay = int(round(verdict / self.chip.tick_s))
+                periodic.next_due = self._ticks_run + max(1, delay)
                 continue
             if not flushed:
                 # counters are published lazily; latch them so
@@ -292,46 +281,23 @@ class SimEngine:
 
     def _gap_to_next_deadline(self, remaining: int) -> int:
         """Ticks until the earliest pending deadline, capped and >= 1."""
-        gap: int | None = None
-        now = self._ticks_run
-        for periodic in self._periodics:
-            delta = periodic.next_due - now
-            if gap is None or delta < gap:
-                gap = delta
-        for oneshot in self._oneshots:
-            if oneshot.fired:
-                continue
-            delta = oneshot.due_tick - now
-            if gap is None or delta < gap:
-                gap = delta
-        if gap is None:
+        due = [p.next_due for p in self._periodics]
+        due += [o.due_tick for o in self._oneshots if not o.fired]
+        if not due:
             return remaining
-        return max(1, min(remaining, gap))
-
-    def _needs_slow_path(self) -> bool:
-        """Whether callback semantics force the per-tick dispatch."""
-        return not self.batching or any(
-            p.gate is not None for p in self._periodics
-        )
+        return max(1, min(remaining, min(due) - self._ticks_run))
 
     def run_ticks(self, n_ticks: int) -> None:
         remaining = n_ticks
         while remaining > 0:
-            if self._needs_slow_path():
-                # slow path: gates draw from a seeded fault stream at
-                # every deadline, so chaos runs stay bit-identical
-                self.chip.tick()
-                self._ticks_run += 1
-                remaining -= 1
+            gap = self._gap_to_next_deadline(remaining)
+            if self.engine_mode == "array":
+                soa.advance_chip(self.chip, gap)
             else:
-                gap = self._gap_to_next_deadline(remaining)
-                if self.engine_mode == "array":
-                    soa.advance_chip(self.chip, gap)
-                else:
-                    self.chip.advance_ticks(gap)
-                self._ticks_run += gap
-                remaining -= gap
-                self.batched_segments += 1
+                self.chip.advance_ticks(gap)
+            self._ticks_run += gap
+            remaining -= gap
+            self.batched_segments += 1
             self._process_due_callbacks()
         self.chip.flush_counters()
         if self.sanitizer is not None and n_ticks > 0:
@@ -339,32 +305,18 @@ class SimEngine:
                 self._ticks_run, "chip", _chip_digest(self.chip)
             )
 
-    def run_until(
-        self,
-        condition: Callable[[], bool],
-        *,
-        max_duration_s: float,
-    ) -> bool:
-        """Run until ``condition()`` is true; returns False on timeout."""
-        max_ticks = int(round(max_duration_s / self.chip.tick_s))
-        for _ in range(max_ticks):
-            if condition():
-                return True
-            self.run_ticks(1)
-        return condition()
-
 
 def run_lockstep(engines: Sequence[SimEngine], n_ticks: int) -> None:
     """Advance several engines through the same tick window together.
 
-    Engines that must take the per-tick slow path (gates, reference
-    mode) or that run the scalar engine step individually; the rest are
-    gang-stepped: their chips advance as one stacked ``(ticks, nodes x
-    cores)`` array batch per shared deadline gap, with each engine's
-    callbacks fired at its own deadlines exactly as :meth:`SimEngine.\
-run_ticks` would.  Semantically equivalent to running each engine's
-    ``run_ticks(n_ticks)`` in sequence — node chips are independent, so
-    interleaving their ticks cannot change any result.
+    Engines that run the scalar engine step individually; the rest,
+    gated ones included, are gang-stepped: their chips advance as one
+    stacked ``(ticks, nodes x cores)`` array batch per shared deadline
+    gap, with each engine's callbacks fired at its own deadlines exactly
+    as :meth:`SimEngine.run_ticks` would.  Semantically equivalent to
+    running each engine's ``run_ticks(n_ticks)`` in sequence — node
+    chips are independent, so interleaving their ticks cannot change
+    any result.
 
     The whole call is one :class:`~repro.sim.soa.Window`: what the
     chips produce stays in its arrays from deadline to deadline, and
@@ -373,14 +325,14 @@ run_ticks` would.  Semantically equivalent to running each engine's
     see :mod:`repro.core.gang`) is not fired in place when it is its
     engine's only callback due at a boundary: every such call of the
     boundary goes to one ``batch(due, window)`` call, which reads the
-    counters from the window.  Any other callback, and every call the
-    batch entry leaves, fires in place after the window has handed that
-    engine's chip back to its objects (it is gathered again before its
-    next batch).
+    counters from the window.  Any other callback (a gated one
+    included), and every call the batch entry leaves, fires in place
+    after the window has handed that engine's chip back to its objects
+    (it is gathered again before its next batch).
     """
     gang: list[SimEngine] = []
     for engine in engines:
-        if engine._needs_slow_path() or engine.engine_mode != "array":
+        if engine.engine_mode != "array":
             engine.run_ticks(n_ticks)
         else:
             gang.append(engine)

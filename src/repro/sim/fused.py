@@ -94,18 +94,11 @@ def advance_fused(
     With ``until_release`` the walk stops after the first tick whose
     RAPL cap clears the chip's fastest unparked base frequency (and
     runs nothing if the cap does not clip to begin with), so the array
-    batch can take over.  The chip must run with dirty caching
-    (``dirty_caching=False`` is the re-resolve-every-tick reference
-    mode, which only ``Chip.tick`` implements).  Counters are not
-    flushed, as with ``advance_ticks``.
+    batch can take over.  Counters are not flushed, as with
+    ``advance_ticks``.
     """
     if n_ticks < 0:
         raise SimulationError("cannot run negative ticks")
-    if not chip.dirty_caching:
-        raise SimulationError(
-            "the fused loop needs dirty caching; dirty_caching=False "
-            "chips step through Chip.tick"
-        )
     ran = 0
     while ran < n_ticks:
         ticks, released = _run_stretch(

@@ -65,11 +65,10 @@ to the scalar reference.  That holds because
   with fewer than two points, and a chip whose RAPL cap clips, until
   the cap releases — run the fused fallback
   (:func:`repro.sim.fused.advance_fused`), which walks the limiter
-  loop tick by tick and folds the running sums once per stretch.  Only
-  ``dirty_caching=False`` reference chips step through
-  ``Chip.advance_ticks`` itself.  A gap of any length, down to one
-  tick, takes the batch when the batch can take it: a fused stretch
-  costs more than one batch at every length.
+  loop tick by tick and folds the running sums once per stretch.  A
+  gap of any length, down to one tick, takes the batch when the batch
+  can take it: a fused stretch costs more than one batch at every
+  length.
 
 Gathering runs at three cadences:
 
@@ -197,11 +196,9 @@ def chip_supports_array(chip: "Chip") -> bool:
     Anything outside the batch's modelled invariants — websearch
     clusters (advanced with a global frequency view each tick),
     non-batch loads, or a degenerate V/f grid — takes the fused per-tick
-    loop instead (:func:`repro.sim.fused.advance_fused`); the
-    ``dirty_caching=False`` reference mode (which re-resolves P-states
-    every tick) takes ``Chip.advance_ticks``.
+    loop instead (:func:`repro.sim.fused.advance_fused`).
     """
-    if not chip.dirty_caching or chip.clusters:
+    if chip.clusters:
         return False
     if len(chip.platform.pstates.frequencies_mhz) < 2:
         return False
@@ -498,10 +495,8 @@ class Window:
                 at is not None and not at[0].stale[at[1]]
             ) or chip_supports_array(chip):
                 members.setdefault(chip.tick_s, []).append(chip)
-            elif chip.dirty_caching:
-                fused.advance_fused(chip, n_ticks)
             else:
-                chip.advance_ticks(n_ticks)
+                fused.advance_fused(chip, n_ticks)
         for tick in [t for t in self._gangs if t not in members]:
             self._drop(self._gangs.pop(tick))
         for tick, chips in members.items():
@@ -574,9 +569,8 @@ def advance_chips(
 ) -> None:
     """Advance every chip by ``n_ticks``, batching where possible.
 
-    Chips the array path cannot step exactly take the fused loop (or,
-    in ``dirty_caching=False`` reference mode, ``Chip.advance_ticks``);
-    the rest are stacked along the core axis (grouped by tick length)
+    Chips the array path cannot step exactly take the fused loop; the
+    rest are stacked along the core axis (grouped by tick length)
     and stepped as one ``(ticks, total cores)`` batch.  ``window`` is an
     open :class:`Window` over ``chips`` whose state carries over from
     the previous call; without one the call is a window of its own,

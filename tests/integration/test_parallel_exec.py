@@ -1,9 +1,11 @@
 """Integration tests: parallel executor, cache round trip, fast path.
 
 The contract under test is byte-identical results: a pool of workers, a
-cache hit, or the simulator's batched fast path must each return
-*exactly* what the plain serial slow path returns.
+cache hit, or the array engine must each return *exactly* what a plain
+serial run on the scalar engine returns.
 """
+
+import dataclasses
 
 import pytest
 
@@ -86,20 +88,18 @@ class TestResolveJobs:
 
 class TestFastPathFullStack:
     def test_fast_path_matches_reference_stack(self):
-        """run_steady through the batched+cached simulator equals the
-        per-tick, cache-disabled reference on a real policy stack."""
-        config = make_tasks()[0].config
+        """run_steady through the array engine equals the same config
+        on the scalar engine, the reference, on a real policy stack."""
         results = []
-        for reference in (False, True):
-            stack = build_stack(config)
-            if reference:
-                stack.engine.batching = False
-                stack.chip.dirty_caching = False
+        for engine in ("array", "scalar"):
+            config = dataclasses.replace(
+                make_tasks()[0].config, engine=engine
+            )
             results.append(
                 run_steady(
                     config, duration_s=DURATION, warmup_s=WARMUP,
-                    stack=stack,
+                    stack=build_stack(config),
                 )
             )
         fast, slow = results
-        assert fast == slow
+        assert dataclasses.replace(fast, config=slow.config) == slow

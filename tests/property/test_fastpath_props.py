@@ -1,12 +1,14 @@
-"""Property tests: the chip's dirty-flag fast path is bit-identical.
+"""Property tests: the chip's dirty-flag cache and the engine's
+deadline-to-deadline stepping are bit-identical to their references.
 
-Two chips fed the same schedule of mutations — one with dirty-flag
-caching on (the default), one recomputing the P-state view every tick
-(``dirty_caching=False``) — must agree on *every* observable after every
+Two chips fed the same schedule of mutations — one caching its P-state
+view behind the dirty flag, one re-resolving it before every tick
+(:func:`run_refreshing`) — must agree on *every* observable after every
 segment: effective frequencies, package energy, APERF/MPERF/instruction
 counters, and power.  Schedules include finishing loads, whose
 done-transition changes the active-core count (and hence the turbo
-ceiling) without any software mutation.
+ceiling) without any software mutation.  An engine stepping from
+deadline to deadline must likewise match the tick-by-tick driver.
 """
 
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from repro.hw.platform import skylake_xeon_4114
 from repro.sim.chip import Chip
 from repro.sim.core import LoadSample
 from repro.sim.engine import SimEngine
+from tests.unit.test_engine_batching import run_per_tick
 
 SKYLAKE = skylake_xeon_4114()
 FREQS = SKYLAKE.pstates.frequencies_mhz
@@ -64,14 +67,23 @@ ops = st.one_of(
 )
 
 
-def apply(chip, op):
+def run_refreshing(chip, n_ticks):
+    """The cache's reference: re-resolve the P-state view before every
+    tick, then flush like ``Chip.run_ticks``."""
+    for _ in range(n_ticks):
+        chip._dirty = True
+        chip.tick()
+    chip.flush_counters()
+
+
+def apply(chip, op, run=Chip.run_ticks):
     kind, a, b = op
     if kind == "freq":
         chip.set_requested_frequency(a, b)
     elif kind == "park":
         chip.park(a, b)
     else:
-        chip.run_ticks(a)
+        run(chip, a)
 
 
 def observables(chip):
@@ -97,13 +109,12 @@ def observables(chip):
 def test_dirty_caching_is_bit_identical(loads, schedule):
     fast = Chip(SKYLAKE)
     slow = Chip(SKYLAKE)
-    slow.dirty_caching = False
     for chip in (fast, slow):
         for core_id, (budget, ipc, avx) in loads.items():
             chip.assign_load(core_id, FiniteLoad(budget, ipc, avx))
     for op in schedule:
         apply(fast, op)
-        apply(slow, op)
+        apply(slow, op, run_refreshing)
         assert observables(fast) == observables(slow)
 
 
@@ -118,9 +129,8 @@ def test_dirty_caching_is_bit_identical(loads, schedule):
 @settings(max_examples=40, deadline=None)
 def test_engine_batching_is_bit_identical(loads, freq_cycle, period, total):
     chips = []
-    for batching in (True, False):
+    for run in (SimEngine.run_ticks, run_per_tick):
         engine = SimEngine(Chip(SKYLAKE))
-        engine.batching = batching
         for core_id, (budget, ipc, avx) in loads.items():
             engine.chip.assign_load(core_id, FiniteLoad(budget, ipc, avx))
         beat = [0]
@@ -133,15 +143,7 @@ def test_engine_batching_is_bit_identical(loads, freq_cycle, period, total):
             beat[0] += 1
 
         engine.every(period * engine.chip.tick_s, retune)
-        engine.run_ticks(total)
+        run(engine, total)
         chips.append(engine.chip)
     assert observables(chips[0]) == observables(chips[1])
 
-
-def test_gate_forces_per_tick_fault_semantics():
-    """With a gate registered, batching must not happen at all: the
-    fault stream is drawn per deadline in per-tick order."""
-    engine = SimEngine(Chip(SKYLAKE))
-    engine.every(0.02, lambda now: None, gate=lambda now: "fire")
-    engine.run_ticks(300)
-    assert engine.batched_segments == 0

@@ -4,8 +4,8 @@ The array path has exactly one contract: **bit-identical to the scalar
 reference**.  These tests pin it down at every layer — the numpy
 kernels against hand-rolled scalar chains, the RAPL replay against the
 live limiter, the gather/commit round trip against ``advance_ticks``
-on a cloned chip — plus the support gates that force the scalar slow
-path, the engine selector's validation, and the cache's deliberate
+on a cloned chip — plus the support gates that send a chip to the fused
+fallback, the engine selector's validation, and the cache's deliberate
 blindness to the engine field.
 """
 
@@ -404,23 +404,21 @@ class TestRaplReplay:
             assert limiter.control_state() == before, replay.__name__
 
 
+class WeirdLoad:
+    """A load type the batch does not model."""
+
+    name = "weird"
+    uses_avx = False
+
+    def advance(self, dt_s, frequency_mhz, sim_time_s):
+        return LoadSample(0.0, 0.0, 0.0, done=True)
+
+
 class TestSupportGates:
     def test_batch_chip_is_supported(self):
         assert soa.chip_supports_array(batch_chip())
 
-    def test_reference_mode_forces_scalar(self):
-        chip = batch_chip()
-        chip.dirty_caching = False
-        assert not soa.chip_supports_array(chip)
-
     def test_foreign_load_forces_scalar(self):
-        class WeirdLoad:
-            name = "weird"
-            uses_avx = False
-
-            def advance(self, dt_s, frequency_mhz, sim_time_s):
-                return LoadSample(0.0, 0.0, 0.0, done=True)
-
         chip = batch_chip()
         chip.assign_load(5, WeirdLoad())
         assert not soa.chip_supports_array(chip)
@@ -429,10 +427,11 @@ class TestSupportGates:
         chips = []
         for _ in range(2):
             chip = batch_chip()
-            chip.dirty_caching = False
+            chip.assign_load(5, WeirdLoad())
             chips.append(chip)
+        assert not soa.chip_supports_array(chips[1])
         chips[0].advance_ticks(100)
-        soa.advance_chip(chips[1], 100)  # silently takes the scalar loop
+        soa.advance_chip(chips[1], 100)  # silently takes the fused loop
         assert chip_fingerprint(chips[0]) == chip_fingerprint(chips[1])
 
     def test_tiny_gaps_take_the_batch(self, monkeypatch):
@@ -450,14 +449,10 @@ class TestSupportGates:
             assert chip_fingerprint(a) == chip_fingerprint(b)
 
     def test_fused_loop_refuses_reference_mode(self):
-        """The fused loop resolves the P-state view once per window, so
-        it must not stand in for the re-resolve-every-tick mode."""
+        """A negative tick count is refused before the chip moves."""
         chip = batch_chip()
-        chip.dirty_caching = False
         with pytest.raises(SimulationError):
-            fused.advance_fused(chip, 10)
-        with pytest.raises(SimulationError):
-            fused.advance_fused(batch_chip(), -1)
+            fused.advance_fused(chip, -1)
         assert chip.time_s == 0.0
 
 

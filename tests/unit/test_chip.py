@@ -45,6 +45,21 @@ class TestFrequencyControl:
             == sky_chip.platform.avx_max_frequency_mhz
         )
 
+    def test_avx_cap_applies_to_a_newly_placed_load(self, sky_chip):
+        """Placing a load re-resolves the cached P-state view: a core
+        already running at 3 GHz drops to the AVX cap once an AVX load
+        lands on it, with no new request."""
+        load_app(sky_chip, 0)
+        sky_chip.set_requested_frequency(0, 3000.0)
+        sky_chip.run_ticks(2)
+        assert sky_chip.effective_frequency(0) == 3000.0
+        load_app(sky_chip, 0, "cam4")
+        sky_chip.run_ticks(1)
+        assert (
+            sky_chip.effective_frequency(0)
+            <= sky_chip.platform.avx_max_frequency_mhz
+        )
+
     def test_turbo_ceiling_depends_on_active_cores(self, sky_chip):
         for core_id in range(10):
             load_app(sky_chip, core_id)

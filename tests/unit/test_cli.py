@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import errno
+import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -165,3 +168,20 @@ def test_section_prints_the_quick_report_section(name, capsys):
     argv = [name] + (["--quick"] if section.quick != section.full else [])
     assert main(argv) == 0
     assert capsys.readouterr().out == committed_sections()[section.title]
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away, as after ``| head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv", [["list"], ["table1"], ["lint", "--list-rules"]]
+)
+def test_closed_stdout_ends_without_a_traceback(argv, monkeypatch):
+    """A reader that exits early ends the command with status 1 and no
+    traceback, on the subcommands and on the ``lint`` dispatch."""
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(argv) == 1

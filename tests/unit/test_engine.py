@@ -181,15 +181,3 @@ class TestOneShots:
         )
         engine.run(0.15)
         assert all(b > a for a, b in zip(seen, seen[1:]))
-
-
-class TestRunUntil:
-    def test_condition_met(self, engine):
-        ok = engine.run_until(lambda: engine.time_s >= 0.01,
-                              max_duration_s=1.0)
-        assert ok
-        assert engine.time_s < 0.02
-
-    def test_timeout(self, engine):
-        ok = engine.run_until(lambda: False, max_duration_s=0.01)
-        assert not ok

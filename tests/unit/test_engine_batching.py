@@ -1,9 +1,10 @@
-"""Tests for the engine's batched fast path.
+"""Tests for the engine's deadline-to-deadline stepping.
 
-The batched path must be an invisible optimisation: callbacks fire at
-the same simulated times with the same chip state as the per-tick slow
-path, and anything that could observe per-tick ordering (a fault gate)
-must force the slow path.
+Stepping a whole gap at a time must be invisible: callbacks fire at the
+same simulated times, with the same chip state, as under
+:func:`run_per_tick`, a tick-by-tick reference driver, and a fault gate
+is consulted at the same deadlines with its verdicts applied the same
+way.
 """
 
 import pytest
@@ -12,21 +13,28 @@ from repro.sim.chip import Chip
 from repro.sim.engine import SimEngine
 
 
-def make_engine(skylake, *, batching=True):
-    engine = SimEngine(Chip(skylake))
-    engine.batching = batching
-    return engine
+def run_per_tick(engine, n_ticks):
+    """The tick-by-tick reference: tick once, then fire whatever is due."""
+    for _ in range(n_ticks):
+        engine.chip.tick()
+        engine._ticks_run += 1
+        engine._process_due_callbacks()
+    engine.chip.flush_counters()
+
+
+def make_engine(skylake):
+    return SimEngine(Chip(skylake))
 
 
 class TestBatchingEquivalence:
     def test_callback_times_match_slow_path(self, skylake):
         traces = []
-        for batching in (True, False):
-            engine = make_engine(skylake, batching=batching)
+        for run in (SimEngine.run_ticks, run_per_tick):
+            engine = make_engine(skylake)
             calls = []
             engine.every(0.01, calls.append)
             engine.every(0.025, calls.append)
-            engine.run(0.2)
+            run(engine, 200)
             traces.append(calls)
         assert traces[0] == traces[1]
 
@@ -40,8 +48,8 @@ class TestBatchingEquivalence:
 
     def test_chip_state_matches_slow_path(self, skylake):
         chips = []
-        for batching in (True, False):
-            engine = make_engine(skylake, batching=batching)
+        for run in (SimEngine.run_ticks, run_per_tick):
+            engine = make_engine(skylake)
             # a callback that mutates the chip, like the daemon does
             freqs = skylake.pstates.frequencies_mhz
 
@@ -51,7 +59,7 @@ class TestBatchingEquivalence:
                 chip.park(1, int(now * 100) % 2 == 0)
 
             engine.every(0.01, retune)
-            engine.run(0.3)
+            run(engine, 300)
             chips.append(engine.chip)
         fast, slow = chips
         assert fast.time_s == slow.time_s
@@ -69,19 +77,8 @@ class TestBatchingEquivalence:
 
 
 class TestSlowPathForcing:
-    def test_batching_false_never_batches(self, skylake):
-        engine = make_engine(skylake, batching=False)
-        engine.every(0.05, lambda now: None)
-        engine.run(0.2)
-        assert engine.batched_segments == 0
-
-    def test_gate_forces_slow_path(self, skylake):
-        engine = make_engine(skylake)
-        fired = []
-        engine.every(0.05, fired.append, gate=lambda now: "fire")
-        engine.run(0.2)
-        assert engine.batched_segments == 0
-        assert len(fired) == 4
+    """Nothing forces tick-by-tick stepping: every run takes one segment
+    per stop, a gated one included."""
 
     def test_ungated_engine_batches(self, skylake):
         engine = make_engine(skylake)
@@ -89,3 +86,28 @@ class TestSlowPathForcing:
         engine.run(0.2)
         # one segment per 0.05 s deadline at a 1 ms tick
         assert engine.batched_segments == 4
+
+    @pytest.mark.parametrize("mode", ["scalar", "array"])
+    def test_gated_engine_steps_deadline_to_deadline(self, skylake, mode):
+        """A gate that fires, drops and defers is consulted at the
+        per-tick driver's times, the callback fires at them too, and the
+        stepping takes one segment per stop."""
+        verdicts = ["fire", "drop", 0.013, "fire", 0.0002, "drop", 0.05]
+        seen, engines = [], []
+        for run in (SimEngine.run_ticks, run_per_tick):
+            engine = SimEngine(Chip(skylake), engine=mode)
+            consulted, fired = [], []
+
+            def gate(now, engine=engine, consulted=consulted):
+                consulted.append((engine._ticks_run, now))
+                return verdicts[(len(consulted) - 1) % len(verdicts)]
+
+            engine.every(0.02, fired.append, gate=gate)
+            run(engine, 400)
+            seen.append((consulted, fired, engine.chip.time_s))
+            engines.append(engine)
+        assert seen[0] == seen[1]
+        consulted, fired, _ = seen[0]
+        assert len(consulted) > len(fired) > 0
+        stops = {tick for tick, _ in consulted} | {400}
+        assert engines[0].batched_segments == len(stops)

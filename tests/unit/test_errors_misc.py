@@ -18,7 +18,6 @@ class TestHierarchy:
             errors.SchedulerError,
             errors.PolicyError,
             errors.ShareError,
-            errors.StarvationError,
             errors.SimulationError,
         ]
         for exc in leaves:

@@ -7,10 +7,13 @@ import pytest
 from repro.config import AppSpec, ExperimentConfig
 from repro.core.types import Priority
 from repro.experiments.cache import (
+    CACHE_VERSION,
     ResultCache,
     cache_disabled_by_env,
     cache_key,
+    cluster_cache_key,
 )
+from repro.experiments.cluster_exp import default_cluster_config
 from repro.experiments.runner import SteadyAppResult, SteadyRunResult
 
 
@@ -137,6 +140,25 @@ class TestCorruption:
         data["schema"] = -1
         path.write_text(json.dumps(data))
         assert cache.get(config, 10.0, 2.0) is None
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "[]",  # JSON, but not an entry
+            # a single-socket entry's shape: no cluster kind
+            json.dumps({"schema": CACHE_VERSION, "result": {}}),
+        ],
+    )
+    def test_corrupt_cluster_entry_is_dropped(self, cache, text):
+        config = default_cluster_config(n_nodes=2)
+        path = cache._path(cluster_cache_key(config, 10.0, 2.0))
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+        assert cache.get_cluster(config, 10.0, 2.0) is None
+        assert cache.stats.misses == 1
+        assert cache.stats.hits == 0
         assert not path.exists()
 
 
